@@ -3,7 +3,6 @@
 from .qmat import DensityMatrix, Spectrum, von_neumann_entropy, partial_trace, tensor
 from .channels import (
     KrausChannel,
-    WeylBasis,
     apply,
     compose_parallel,
     compose_serial,

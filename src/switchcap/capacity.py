@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, apply
 from .qmat import (
     DensityMatrix,
     DimensionMismatchError,
@@ -139,12 +139,25 @@ def h_min(d: int, q: float) -> float:
 
 def holevo_analytic(d: int, q: float) -> AnalyticCapacity:
     """chi = log2(d) + H(control marginal) - H_min, at balanced coherent control."""
-    ctrl = ControlState(0.5, coherent=True)
-    hc = entropy_bits(
-        np.linalg.eigvalsh(reduced_control_state(d, q, ctrl).matrix)
-    )
+    hc = control_entropy(d, q, ControlState(0.5, coherent=True))
     hm = h_min(d, q)
     return AnalyticCapacity(np.log2(d) + hc - hm, hc, hm)
+
+
+def _holevo(probs, inputs, output, dim_out: int) -> float:
+    """H(sum_x p_x out_x) - sum_x p_x H(out_x), with out_x = output(inputs[x]).
+
+    ``output`` is not called for zero-weight entries.
+    """
+    avg = np.zeros((dim_out, dim_out), dtype=complex)
+    cond = 0.0
+    for p, x in zip(probs, inputs):
+        if p == 0.0:
+            continue
+        out = output(x)
+        avg += p * out
+        cond += p * entropy_bits(np.linalg.eigvalsh(out))
+    return entropy_bits(np.linalg.eigvalsh(avg)) - cond
 
 
 def holevo_of_ensemble(ch: KrausChannel, ens: Ensemble) -> float:
@@ -153,16 +166,8 @@ def holevo_of_ensemble(ch: KrausChannel, ens: Ensemble) -> float:
         raise DimensionMismatchError(
             f"ensemble dimension {ens.dim} != channel input {ch.dim_in}"
         )
-    k = ch.stacked()
-    avg = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    cond = 0.0
-    for prob, rho in ens.entries:
-        if prob == 0.0:
-            continue
-        out = np.einsum("nij,jk,nlk->il", k, rho.matrix, k.conj())
-        avg += prob * out
-        cond += prob * entropy_bits(np.linalg.eigvalsh(out))
-    return entropy_bits(np.linalg.eigvalsh(avg)) - cond
+    probs, states = zip(*ens.entries)
+    return _holevo(probs, states, lambda rho: apply(ch, rho).matrix, ch.dim_out)
 
 
 def orthonormal_ensemble(d: int) -> Ensemble:
@@ -202,16 +207,12 @@ def _chi_pure(transfer: np.ndarray, dim_out: int, probs, vecs) -> float:
     """Holevo quantity of a pure-state ensemble via the transfer matrix."""
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
     probs = probs / probs.sum()
-    avg = np.zeros((dim_out, dim_out), dtype=complex)
-    cond = 0.0
-    for p, v in zip(probs, vecs):
-        if p == 0.0:
-            continue
+
+    def output(v):
         v = v / np.linalg.norm(v)
-        out = (transfer @ np.outer(v, v.conj()).reshape(-1)).reshape(dim_out, dim_out)
-        avg += p * out
-        cond += p * entropy_bits(np.linalg.eigvalsh(out))
-    return entropy_bits(np.linalg.eigvalsh(avg)) - cond
+        return (transfer @ np.outer(v, v.conj()).reshape(-1)).reshape(dim_out, dim_out)
+
+    return _holevo(probs, vecs, output, dim_out)
 
 
 def optimize_ensemble(

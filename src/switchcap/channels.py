@@ -55,22 +55,17 @@ class CptpCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class WeylBasis:
-    """The d^2 unitaries X(i) Z(j), indexed by i*d + j; element 0 is I."""
+def weyl_basis(d: int) -> tuple[np.ndarray, ...]:
+    """Generalized Pauli basis: X(i)|l> = |i+l mod d>, Z(j)|l> = w^{jl}|l>.
 
-    dim: int
-    unitaries: tuple[np.ndarray, ...]
-
-
-def weyl_basis(d: int) -> WeylBasis:
-    """Generalized Pauli basis: X(i)|l> = |i+l mod d>, Z(j)|l> = w^{jl}|l>."""
+    The d^2 unitaries X(i) Z(j) are indexed by i*d + j; element 0 is I.
+    """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     omega = np.exp(2j * np.pi / d)
     shifts = [np.roll(np.eye(d, dtype=complex), i, axis=0) for i in range(d)]
     phases = [np.diag(omega ** (j * np.arange(d))) for j in range(d)]
-    return WeylBasis(d, tuple(shifts[i] @ phases[j] for i in range(d) for j in range(d)))
+    return tuple(shifts[i] @ phases[j] for i in range(d) for j in range(d))
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -86,9 +81,8 @@ def depolarizing_channel(d: int, q: float) -> KrausChannel:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    basis = weyl_basis(d)
     ops = [np.sqrt(q) * np.eye(d, dtype=complex)]
-    ops.extend(np.sqrt(1.0 - q) / d * u for u in basis.unitaries)
+    ops.extend(np.sqrt(1.0 - q) / d * u for u in weyl_basis(d))
     return KrausChannel(d, d, tuple(ops))
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -32,6 +33,8 @@ class SweepConfig:
             raise ValueError("dims, q and p lists must be nonempty")
         if any(d < 2 for d in self.dims):
             raise ValueError("dimensions must be >= 2")
+        if self.optimizer_trials < 1:
+            raise ValueError("trials must be >= 1")
         if any(not 0.0 <= v <= 1.0 for v in self.q_values + self.p_values):
             raise ValueError("q and p values must lie in [0, 1]")
         if self.format not in ("csv", "json"):
@@ -143,12 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_verify(suite: str, tolerance: float) -> tuple[int, oracle.ComparisonReport]:
-    report = oracle.verify_equivalence(suite, tolerance)
-    status = 0 if report.max_abs_deviation <= tolerance else 1
-    return status, report
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -168,15 +165,22 @@ def main(argv=None) -> int:
             parser.error(str(exc))  # exits 2
         rows = run_sweep(cfg)
         text = render_csv(rows) if cfg.format == "csv" else render_json(rows)
-        _write(text, cfg.output_path)
-        return 0
+        path, status = cfg.output_path, 0
+    else:  # verify
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            parser.error(f"tolerance must be finite and >= 0, got {args.tol}")
+        try:
+            report = oracle.verify_equivalence(args.suite, args.tol)
+        except ValueError as exc:
+            parser.error(str(exc))
+        text = (report.to_json() if args.as_json else str(report)) + "\n"
+        path = args.out
+        status = 0 if report.max_abs_deviation <= args.tol else 1
 
-    # verify
     try:
-        status, report = run_verify(args.suite, args.tol)
-    except ValueError as exc:
-        parser.error(str(exc))
-    _write((report.to_json() if args.as_json else str(report)) + "\n", args.out)
+        _write(text, path)
+    except OSError as exc:
+        parser.error(str(exc))  # exits 2
     return status
 
 

@@ -71,20 +71,25 @@ def _weyl_ops(d: int) -> list[np.ndarray]:
     return ops
 
 
-def brute_force_switch_output(
-    d: int, q: float, ctrl: ControlState, rho: DensityMatrix
-) -> switch.JointState:
-    """Explicit sum over all (d^2+1)^2 Kraus pairs of the switched channel."""
+def _switch_pairs(d: int, q: float):
+    """Yield the (d^2+1)^2 switched Kraus operators of two noise-q depolarizers."""
     kraus = [np.sqrt(q) * np.eye(d, dtype=complex)]
     kraus += [np.sqrt(1.0 - q) / d * u for u in _weyl_ops(d)]
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    sigma = tensor(rho.matrix, ctrl.density())
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
     for ki in kraus:
         for kj in kraus:
-            w = tensor(ki @ kj, p0) + tensor(kj @ ki, p1)
-            out += w @ sigma @ w.conj().T
+            yield tensor(ki @ kj, p0) + tensor(kj @ ki, p1)
+
+
+def brute_force_switch_output(
+    d: int, q: float, ctrl: ControlState, rho: DensityMatrix
+) -> switch.JointState:
+    """Explicit sum over all (d^2+1)^2 Kraus pairs of the switched channel."""
+    sigma = tensor(rho.matrix, ctrl.density())
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    for w in _switch_pairs(d, q):
+        out += w @ sigma @ w.conj().T
     return switch.JointState(d, DensityMatrix(out))
 
 
@@ -183,15 +188,9 @@ def verify_equivalence(suite: str, tolerance: float = 1e-9) -> ComparisonReport:
     elif suite == "cptp":
         for d in (2, 3, 4):
             for q in (0.0, 0.4, 1.0):
-                kraus = [np.sqrt(q) * np.eye(d, dtype=complex)]
-                kraus += [np.sqrt(1.0 - q) / d * u for u in _weyl_ops(d)]
-                p0 = np.diag([1.0, 0.0]).astype(complex)
-                p1 = np.diag([0.0, 1.0]).astype(complex)
                 total = np.zeros((2 * d, 2 * d), dtype=complex)
-                for ki in kraus:
-                    for kj in kraus:
-                        w = tensor(ki @ kj, p0) + tensor(kj @ ki, p1)
-                        total += w.conj().T @ w
+                for w in _switch_pairs(d, q):
+                    total += w.conj().T @ w
                 dev = float(np.abs(total - np.eye(2 * d)).max())
                 _track(worst, dev, count, d=d, q=q, p=0.5, seed=0)
 

@@ -116,7 +116,7 @@ def entropy_bits(eigenvalues) -> float:
     more negative signals an invalid state.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if lam.min() < -TOL_PSD:
+    if lam.size and lam.min() < -TOL_PSD:
         raise InvalidStateError(f"eigenvalue {lam.min():.3e} below -{TOL_PSD}")
     lam = np.clip(lam, 0.0, None)
     pos = lam[lam > 0]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, depolarizing_channel
+from .channels import KrausChannel, apply
 from .qmat import DensityMatrix, DimensionMismatchError, tensor
 
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -107,11 +107,8 @@ def switch_apply(
     d = n1.dim_in
     if rho.dim != d:
         raise DimensionMismatchError(f"state dimension {rho.dim} != channel {d}")
-    sw = switch_channel(n1, n2)
-    sigma = tensor(rho.matrix, ctrl.density())
-    k = sw.stacked()
-    out = np.einsum("nij,jk,nlk->il", k, sigma, k.conj())
-    return JointState(d, DensityMatrix(out))
+    sigma = DensityMatrix(tensor(rho.matrix, ctrl.density()))
+    return JointState(d, apply(switch_channel(n1, n2), sigma))
 
 
 def switched_depolarizing_analytic(
@@ -141,12 +138,6 @@ def switched_depolarizing_analytic(
     out += 2.0 * q * (1.0 - q) * tensor(eye / d, rho_c)
     out += q**2 * tensor(rho.matrix, rho_c)
     return JointState(d, DensityMatrix(out))
-
-
-def switched_depolarizing(d: int, q: float) -> KrausChannel:
-    """The 2d-dimensional SWITCH of two identical noise-q depolarizing channels."""
-    dep = depolarizing_channel(d, q)
-    return switch_channel(dep, dep)
 
 
 def fourier_measure_control(js: JointState):

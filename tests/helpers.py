@@ -2,14 +2,7 @@
 
 import numpy as np
 
-from switchcap.qmat import DensityMatrix
-
-
-def ginibre(d, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return DensityMatrix(m / m.trace())
+from switchcap.oracle import random_density_matrix as ginibre
 
 
 def haar_unitary(d, seed):

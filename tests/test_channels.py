@@ -26,16 +26,16 @@ class TestWeylBasis:
     def test_qubit_elements(self):
         basis = weyl_basis(2)
         expected = [I2, Z, X, X @ Z]
-        for u in basis.unitaries:
+        for u in basis:
             assert any(np.allclose(u, e) for e in expected)
-        assert len(basis.unitaries) == 4
+        assert len(basis) == 4
 
     def test_first_element_is_identity(self):
         for d in (2, 3, 5):
-            np.testing.assert_allclose(weyl_basis(d).unitaries[0], np.eye(d))
+            np.testing.assert_allclose(weyl_basis(d)[0], np.eye(d))
 
     def test_qubit_orthogonality(self):
-        us = weyl_basis(2).unitaries
+        us = weyl_basis(2)
         for a in range(4):
             for b in range(4):
                 overlap = (us[a].conj().T @ us[b]).trace()
@@ -43,25 +43,25 @@ class TestWeylBasis:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_orthogonality(self, d):
-        us = weyl_basis(d).unitaries
+        us = weyl_basis(d)
         gram = np.array([[(a.conj().T @ b).trace() for b in us] for a in us])
         np.testing.assert_allclose(gram, d * np.eye(d * d), atol=1e-10)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_unitarity(self, d):
-        for u in weyl_basis(d).unitaries:
+        for u in weyl_basis(d):
             np.testing.assert_allclose(u @ u.conj().T, np.eye(d), atol=1e-12)
 
     def test_twirl_depolarizes(self):
         rho = ginibre(3, 42)
-        acc = sum(u @ rho.matrix @ u.conj().T for u in weyl_basis(3).unitaries) / 9
+        acc = sum(u @ rho.matrix @ u.conj().T for u in weyl_basis(3)) / 9
         np.testing.assert_allclose(acc, np.eye(3) / 3, atol=1e-12)
 
     @given(st.integers(0, 300), st.sampled_from([2, 3, 4]))
     @settings(max_examples=25, deadline=None)
     def test_twirl_property(self, seed, d):
         rho = ginibre(d, seed)
-        acc = sum(u @ rho.matrix @ u.conj().T for u in weyl_basis(d).unitaries)
+        acc = sum(u @ rho.matrix @ u.conj().T for u in weyl_basis(d))
         np.testing.assert_allclose(acc, d * np.eye(d), atol=1e-10)
 
     def test_rejects_small_dimension(self):

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from switchcap.cli import SweepConfig, main, render_csv, run_sweep
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -76,6 +79,26 @@ class TestSweep:
             main(["sweep", "--dims", "2", "--q", "1.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("extra", [
+        "--trials 0",
+        "--trials -3",
+        "--out nonexistent-dir/x.csv",
+    ])
+    def test_bad_trials_or_out_usage_error(self, capsys, tmp_path, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dims", "2", "--q", "0", "--trials", "1"] + extra.split())
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name, argv", [
+        ("sweep-readme", "--dims 2,3,4 --q 0,0.25,0.5 --p 0.5 --trials 200 --seed 0"),
+        ("sweep-offcenter", "--dims 2,3 --q 0,0.3 --p 0.2,0.7 --trials 20 --seed 0"),
+    ])
+    def test_golden_output(self, capsys, name, argv):
+        code, out = run(capsys, "sweep", *argv.split())
+        assert code == 0
+        assert out.encode() == (DATA / f"{name}.csv").read_bytes()
+
 
 class TestVerify:
     def test_cptp_suite_passes(self, capsys):
@@ -90,6 +113,12 @@ class TestVerify:
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonexistent"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tolerance_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "cptp", "--tol", tol])
         assert exc.value.code == 2
 
     def test_json_report(self, capsys):

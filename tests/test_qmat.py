@@ -123,6 +123,9 @@ class TestEntropy:
     def test_tiny_negative_eigenvalues_clipped(self):
         assert entropy_bits([1.0, -1e-12]) == 0.0
 
+    def test_empty_spectrum(self):
+        assert entropy_bits([]) == 0.0
+
     def test_rejects_strongly_negative(self):
         with pytest.raises(InvalidStateError):
             entropy_bits([1.1, -0.1])
