@@ -1,9 +1,12 @@
 """Holevo information of the switched depolarizing channel.
 
-Two independent routes to the same number: the analytic formula
-chi = log2(d) + H(control marginal) - H_min, built from the block-matrix
-spectrum of the closed-form output, and a numerical ensemble optimizer
-that searches input ensembles directly.
+With the control state fixed, the switched channel is covariant under
+target unitaries U (x) I, so by Holevo's covariant-channel theorem
+chi = log2(d) + H(control marginal) - H_min at every control weight p, and
+the uniform orthonormal ensemble attains it. H_min splits into one 2x2
+control block per input eigenvalue, which gives it a closed form too.
+A seeded random-restart search over ensembles is kept as an independent
+check: it must reach the closed form and never exceed it.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ class OptimizerResult:
     ensemble: Ensemble
     chi: float
     trials_run: int
-    refine_steps: int
-    best_source: str  # "orthonormal", "random", or "refined"
+    refine_steps: int  # always 0: there is no local refinement
+    best_source: str  # "orthonormal" or "random"
 
 
 @dataclass(frozen=True)
@@ -69,12 +72,11 @@ class CapacityReport:
     d: int
     q: float
     p: float
-    chi_analytic: float | None
+    chi_analytic: float
     chi_numeric: float
-    entropy_control: float | None
-    h_min: float | None
+    entropy_control: float
+    h_min: float
     optimizer_trials: int
-    optimizer_refine_steps: int
     best_source: str
 
 
@@ -100,47 +102,53 @@ def control_entropy(d: int, q: float, ctrl: ControlState) -> float:
     return entropy_bits(np.linalg.eigvalsh(rc.matrix))
 
 
-def block_symmetric_spectrum(a, b) -> Spectrum:
-    """Spectrum of [[A, B], [B, A]]: the union of spec(A+B) and spec(A-B)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"block shapes differ: {a.shape} vs {b.shape}")
-    plus = np.linalg.eigvalsh(a + b)
-    minus = np.linalg.eigvalsh(a - b)
-    return Spectrum(tuple(np.concatenate([plus, minus])))
+def switched_spectrum(
+    d: int, q: float, ctrl: ControlState, rho_spectrum: Spectrum
+) -> Spectrum:
+    """Eigenvalues of the joint output for a coherent control of weight p.
 
-
-def switched_spectrum(d: int, q: float, rho_spectrum: Spectrum) -> Spectrum:
-    """Eigenvalues of the joint output at balanced coherent control.
-
-    For each input eigenvalue lam:
-      lam_plus  = ((1-q)^2 + 4q(1-q)) / 2d + (q^2 + (1-q)^2 / 2d^2) lam
-      lam_minus = (1-q)^2 (d - lam) / 2d^2
+    Each input eigenvalue lam gives one 2x2 control block. In the
+    {|+>, |->} basis, with r = 1-q, c = sqrt(p(1-p)) and
+    u = (r^2 + 2qr)/d + q^2 lam:
+      ++  (r^2 + 2qr(1+2c)) / 2d + (q^2 (1/2+c) + r^2 c / d^2) lam
+      --  r^2 (d - 2c lam) / 2d^2 + qr(1-2c) / d + q^2 (1/2-c) lam
+      +-  (p - 1/2) u
+    At p = 1/2 the blocks are diagonal.
     """
+    if not ctrl.coherent:
+        raise ValueError("the closed form assumes a coherent control")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     lam = np.asarray(rho_spectrum.eigenvalues, dtype=float)
     if len(lam) != d:
         raise DimensionMismatchError(f"expected {d} eigenvalues, got {len(lam)}")
-    r = 1.0 - q
-    plus = (r**2 + 4.0 * q * r) / (2.0 * d) + (q**2 + r**2 / (2.0 * d**2)) * lam
-    minus = r**2 * (d - lam) / (2.0 * d**2)
-    return Spectrum(tuple(np.concatenate([plus, minus])))
+    p, r = ctrl.p, 1.0 - q
+    c = np.sqrt(p * (1.0 - p))
+    slope = q**2 * (0.5 + c) + r**2 * c / d**2
+    u = (r**2 + 2.0 * q * r) / d + q**2 * lam
+    blocks = np.empty((d, 2, 2))
+    blocks[:, 0, 0] = (r**2 + 2.0 * q * r * (1.0 + 2.0 * c)) / (2.0 * d) + slope * lam
+    blocks[:, 1, 1] = (
+        r**2 * (d - 2.0 * c * lam) / (2.0 * d**2)
+        + q * r * (1.0 - 2.0 * c) / d
+        + q**2 * (0.5 - c) * lam
+    )
+    blocks[:, 0, 1] = blocks[:, 1, 0] = (p - 0.5) * u
+    return Spectrum(tuple(np.linalg.eigvalsh(blocks).ravel()))
 
 
-def h_min(d: int, q: float) -> float:
+def h_min(d: int, q: float, ctrl: ControlState) -> float:
     """Minimum output entropy (bits); attained on pure target inputs."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     pure = Spectrum((1.0,) + (0.0,) * (d - 1))
-    return entropy_bits(switched_spectrum(d, q, pure).eigenvalues)
+    return entropy_bits(switched_spectrum(d, q, ctrl, pure).eigenvalues)
 
 
-def holevo_analytic(d: int, q: float) -> AnalyticCapacity:
-    """chi = log2(d) + H(control marginal) - H_min, at balanced coherent control."""
-    hc = control_entropy(d, q, ControlState(0.5, coherent=True))
-    hm = h_min(d, q)
+def holevo_analytic(d: int, q: float, ctrl: ControlState) -> AnalyticCapacity:
+    """chi = log2(d) + H(control marginal) - H_min, for a coherent control."""
+    hc = control_entropy(d, q, ctrl)
+    hm = h_min(d, q, ctrl)
     return AnalyticCapacity(np.log2(d) + hc - hm, hc, hm)
 
 
@@ -218,13 +226,12 @@ def _chi_pure(transfer: np.ndarray, dim_out: int, probs, vecs) -> float:
 def optimize_ensemble(
     ch: KrausChannel, d: int, trials: int = 200, seed: int = 0
 ) -> OptimizerResult:
-    """Multi-start random search over pure-state ensembles, then hill-climbing.
+    """Best of the uniform orthonormal ensemble and ``trials`` random ones.
 
-    Candidates: the canonical uniform orthonormal ensemble, ``trials``
-    random ensembles of up to d^2 pure states, and a coordinate-perturbation
-    refinement of the best with shrinking steps until improvement < 1e-10.
-    Deterministic in ``seed``; each trial draws from its own (seed, trial)
-    stream.
+    Each random ensemble has up to d^2 pure states and Dirichlet weights,
+    drawn from its own (seed, trial) stream, so the result is deterministic
+    in ``seed``. For a covariant channel the orthonormal ensemble already
+    attains chi; the random restarts are a check that nothing beats it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -247,40 +254,4 @@ def optimize_ensemble(
             best_chi, best_probs, best_vecs = chi, probs, vecs
             source = "random"
 
-    refine_steps = 0
-    step = 0.1
-    while step > 1e-6:
-        for _pass in range(40):
-            start = best_chi
-            for si in range(len(best_vecs)):
-                for ci in range(d):
-                    for delta in (step, -step, 1j * step, -1j * step):
-                        cand = [v.copy() for v in best_vecs]
-                        cand[si][ci] += delta
-                        chi = _chi_pure(transfer, ch.dim_out, best_probs, cand)
-                        refine_steps += 1
-                        if chi > best_chi:
-                            best_chi, best_vecs = chi, cand
-                            source = "refined"
-            for si in range(len(best_probs)):
-                for delta in (step, -step):
-                    cand = np.asarray(best_probs, dtype=float).copy()
-                    cand[si] = max(cand[si] + delta, 0.0)
-                    if cand.sum() <= 0:
-                        continue
-                    chi = _chi_pure(transfer, ch.dim_out, cand, best_vecs)
-                    refine_steps += 1
-                    if chi > best_chi:
-                        best_chi, best_probs = chi, cand / cand.sum()
-                        source = "refined"
-            if best_chi - start < 1e-10:
-                break
-        step /= 4.0
-
-    return OptimizerResult(
-        _assemble(np.asarray(best_probs), best_vecs),
-        best_chi,
-        trials,
-        refine_steps,
-        source,
-    )
+    return OptimizerResult(_assemble(best_probs, best_vecs), best_chi, trials, 0, source)

@@ -17,6 +17,11 @@ from .switch import ControlState, switch_with_fixed_control
 
 CSV_COLUMNS = ("d", "q", "p", "chi_analytic", "chi_numeric", "entropy_control", "h_min")
 
+# A sweep row holds its (d^2+1)^2 SWITCH Kraus operators twice, as 2d x 2d
+# and as 2d x d complex matrices. Larger dimensions are refused up front:
+# d = 16 needs 1.6 GB, d = 17 needs 2.3 GB.
+MAX_KRAUS_BYTES = 2 * 1024**3
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -33,6 +38,13 @@ class SweepConfig:
             raise ValueError("dims, q and p lists must be nonempty")
         if any(d < 2 for d in self.dims):
             raise ValueError("dimensions must be >= 2")
+        for d in self.dims:
+            size = (d * d + 1) ** 2 * ((2 * d) ** 2 + 2 * d * d) * 16
+            if size > MAX_KRAUS_BYTES:
+                raise ValueError(
+                    f"d = {d} needs about {size / 1e9:.3g} GB of Kraus operators "
+                    f"per row, above the {MAX_KRAUS_BYTES / 1e9:.3g} GB limit"
+                )
         if self.optimizer_trials < 1:
             raise ValueError("trials must be >= 1")
         if any(not 0.0 <= v <= 1.0 for v in self.q_values + self.p_values):
@@ -44,8 +56,8 @@ class SweepConfig:
 def run_sweep(cfg: SweepConfig) -> list[capacity.CapacityReport]:
     """One CapacityReport per (d, q, p), in lexicographic order.
 
-    The analytic columns are filled only at p = 1/2, where the closed form
-    holds; the numeric column always comes from the ensemble optimizer.
+    The analytic columns come from the closed form, which holds at every
+    control weight; the numeric column comes from the ensemble optimizer.
     """
     rows = []
     for d in sorted(cfg.dims):
@@ -57,12 +69,7 @@ def run_sweep(cfg: SweepConfig) -> list[capacity.CapacityReport]:
                 result = capacity.optimize_ensemble(
                     ch, d, trials=cfg.optimizer_trials, seed=cfg.seed
                 )
-                if p == 0.5:
-                    analytic = capacity.holevo_analytic(d, q)
-                    chi_a, hc, hm = analytic
-                else:
-                    chi_a, hm = None, None
-                    hc = capacity.control_entropy(d, q, ctrl)
+                chi_a, hc, hm = capacity.holevo_analytic(d, q, ctrl)
                 rows.append(
                     capacity.CapacityReport(
                         d=d,
@@ -73,7 +80,6 @@ def run_sweep(cfg: SweepConfig) -> list[capacity.CapacityReport]:
                         entropy_control=hc,
                         h_min=hm,
                         optimizer_trials=result.trials_run,
-                        optimizer_refine_steps=result.refine_steps,
                         best_source=result.best_source,
                     )
                 )
@@ -81,8 +87,6 @@ def run_sweep(cfg: SweepConfig) -> list[capacity.CapacityReport]:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, int):
         return str(value)
     return f"{value:.12g}"

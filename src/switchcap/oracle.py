@@ -144,30 +144,33 @@ def verify_equivalence(suite: str, tolerance: float = 1e-9) -> ComparisonReport:
                         _track(worst, dev, count, d=d, q=q, p=p, seed=seed)
 
     elif suite == "spectrum-vs-eigensolver":
-        ctrl = ControlState(0.5)
         for d in (2, 3, 4, 5):
             for q in (0.0, 0.3, 0.7, 1.0):
-                for seed in range(10):
-                    rho = random_density_matrix(d, seed)
-                    rho_spec = hermitian_spectrum(rho.matrix)
-                    predicted = capacity.switched_spectrum(d, q, rho_spec)
-                    js = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
-                    solved = hermitian_spectrum(js.state.matrix)
-                    dev = float(
-                        np.abs(
-                            np.array(predicted.eigenvalues)
-                            - np.array(solved.eigenvalues)
-                        ).max()
-                    )
-                    _track(worst, dev, count, d=d, q=q, p=0.5, seed=seed)
+                for p in (0.2, 0.5, 0.7):
+                    ctrl = ControlState(p)
+                    for seed in range(10):
+                        rho = random_density_matrix(d, seed)
+                        rho_spec = hermitian_spectrum(rho.matrix)
+                        predicted = capacity.switched_spectrum(d, q, ctrl, rho_spec)
+                        js = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
+                        solved = hermitian_spectrum(js.state.matrix)
+                        dev = float(
+                            np.abs(
+                                np.array(predicted.eigenvalues)
+                                - np.array(solved.eigenvalues)
+                            ).max()
+                        )
+                        _track(worst, dev, count, d=d, q=q, p=p, seed=seed)
 
     elif suite == "chi-vs-optimizer":
         for d in (2, 3):
             dep = depolarizing_channel(d, 0.0)
-            ch = switch.switch_with_fixed_control(dep, dep, ControlState(0.5))
-            result = capacity.optimize_ensemble(ch, d, trials=200, seed=0)
-            chi = capacity.holevo_analytic(d, 0.0).chi
-            _track(worst, abs(result.chi - chi), count, d=d, q=0.0, p=0.5, seed=0)
+            for p in (0.2, 0.5, 0.7):
+                ctrl = ControlState(p)
+                ch = switch.switch_with_fixed_control(dep, dep, ctrl)
+                result = capacity.optimize_ensemble(ch, d, trials=200, seed=0)
+                chi = capacity.holevo_analytic(d, 0.0, ctrl).chi
+                _track(worst, abs(result.chi - chi), count, d=d, q=0.0, p=p, seed=0)
 
     elif suite == "marginals":
         ctrl = ControlState(0.5)

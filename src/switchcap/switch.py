@@ -145,6 +145,9 @@ def fourier_measure_control(js: JointState):
 
     Each outcome carries the unnormalized conditional operator <x|.|x> on
     the target, its probability (trace), and the normalized state.
+    Normalizing divides round-off by the probability, so the state is built
+    from the Hermitian part of the conditional operator with its slightly
+    negative eigenvalues set to zero.
     """
     d = js.d
     outcomes = []
@@ -154,7 +157,9 @@ def fourier_measure_control(js: JointState):
         cond = proj @ js.state.matrix @ proj.conj().T
         prob = float(cond.trace().real)
         if prob > 1e-14:
-            normalized = DensityMatrix(cond / prob)
+            lam, vecs = np.linalg.eigh((cond + cond.conj().T) / 2.0)
+            lam = np.clip(lam, 0.0, None)
+            normalized = DensityMatrix((vecs * (lam / lam.sum())) @ vecs.conj().T)
         else:
             # zero-probability branch: conditional state is conventionally
             # the maximally mixed one

@@ -57,20 +57,20 @@ def test_criterion_1_closed_form_equivalence():
 
 
 def test_criterion_2_capacity_values():
-    chi2 = holevo_analytic(2, 0.0).chi
-    chi3 = holevo_analytic(3, 0.0).chi
+    chi2 = holevo_analytic(2, 0.0, PLUS).chi
+    chi3 = holevo_analytic(3, 0.0, PLUS).chi
     ok = abs(chi2 - 0.048795) <= 1e-6 and abs(chi3 - 0.018311) <= 1e-6
     report("2 capacity reference values", ok, f"chi(2,0)={chi2:.6f}, chi(3,0)={chi3:.6f}")
 
 
 def test_criterion_3_dimension_monotonicity():
-    chis = [holevo_analytic(d, 0.0).chi for d in range(2, 7)]
+    chis = [holevo_analytic(d, 0.0, PLUS).chi for d in range(2, 7)]
     ok = all(a > b for a, b in zip(chis, chis[1:]))
     report("3 capacity decreases with dimension", ok, str([f"{c:.5f}" for c in chis]))
 
 
 def test_criterion_4_noiseless_limit():
-    devs = [abs(holevo_analytic(d, 1.0).chi - np.log2(d)) for d in range(2, 6)]
+    devs = [abs(holevo_analytic(d, 1.0, PLUS).chi - np.log2(d)) for d in range(2, 6)]
     report("4 noiseless limit log2(d)", max(devs) <= 1e-9, f"max dev {max(devs):.2e}")
 
 
@@ -80,7 +80,7 @@ def test_criterion_5_optimizer_attainment_and_bound():
     for d in (2, 3):
         dep = depolarizing_channel(d, 0.0)
         ch = switch_with_fixed_control(dep, dep, PLUS)
-        chi = holevo_analytic(d, 0.0).chi
+        chi = holevo_analytic(d, 0.0, PLUS).chi
         result = optimize_ensemble(ch, d, trials=500, seed=0)
         worst_gap = max(worst_gap, abs(result.chi - chi))
         worst_excess = max(worst_excess, result.chi - chi)
@@ -170,19 +170,21 @@ def test_criterion_8_structural_suite():
     spec_dev = 0.0
     for d in (2, 3, 4, 5):
         for q in (0.0, 0.3, 0.7):
-            for seed in range(5):
-                rho = random_density_matrix(d, seed)
-                predicted = switched_spectrum(d, q, hermitian_spectrum(rho.matrix))
-                js = switched_depolarizing_analytic(d, q, PLUS, rho)
-                solved = hermitian_spectrum(js.state.matrix)
-                spec_dev = max(
-                    spec_dev,
-                    float(
-                        np.abs(
-                            np.array(predicted.eigenvalues) - np.array(solved.eigenvalues)
-                        ).max()
-                    ),
-                )
+            for ctrl in (ControlState(0.2), PLUS, ControlState(0.7)):
+                for seed in range(5):
+                    rho = random_density_matrix(d, seed)
+                    predicted = switched_spectrum(d, q, ctrl, hermitian_spectrum(rho.matrix))
+                    js = switched_depolarizing_analytic(d, q, ctrl, rho)
+                    solved = hermitian_spectrum(js.state.matrix)
+                    spec_dev = max(
+                        spec_dev,
+                        float(
+                            np.abs(
+                                np.array(predicted.eigenvalues)
+                                - np.array(solved.eigenvalues)
+                            ).max()
+                        ),
+                    )
 
     ok = cptp_dev <= 1e-12 and marg_dev <= 1e-10 and rep_dev <= 1e-10 and spec_dev <= 1e-10
     report(

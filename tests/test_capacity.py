@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from switchcap.capacity import (
     Ensemble,
-    block_symmetric_spectrum,
     control_entropy,
     h_min,
     holevo_analytic,
@@ -15,7 +14,7 @@ from switchcap.capacity import (
     switched_spectrum,
 )
 from switchcap.channels import depolarizing_channel, identity_channel
-from switchcap.qmat import DensityMatrix, Spectrum, hermitian_spectrum
+from switchcap.qmat import DensityMatrix, Spectrum, entropy_bits, hermitian_spectrum
 from switchcap.switch import (
     ControlState,
     switch_apply,
@@ -27,6 +26,7 @@ from switchcap.qmat import partial_trace
 from helpers import ginibre
 
 PLUS = ControlState(0.5)
+P_GRID = (0.0, 0.2, 0.5, 0.7, 1.0)
 
 # frozen by the extended-precision evaluation in oracle.reference_constants
 CHI_D2_Q0 = 0.048794940695
@@ -65,38 +65,15 @@ class TestReducedControlState:
         )
 
 
-class TestBlockSpectrum:
-    def test_identity_blocks(self):
-        spec = block_symmetric_spectrum(np.eye(3), np.zeros((3, 3)))
-        assert spec.eigenvalues == (1.0,) * 6
-
-    def test_sigma_x_structure(self):
-        spec = block_symmetric_spectrum(np.zeros((1, 1)), np.eye(1))
-        assert spec.eigenvalues == (1.0, -1.0)
-
-    @given(st.integers(0, 200))
-    @settings(max_examples=20)
-    def test_matches_assembled_matrix(self, seed):
-        rng = np.random.default_rng(seed)
-        # commuting Hermitian pair: polynomials of one random Hermitian
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        h = g + g.conj().T
-        a, b = h @ h, h
-        m = np.block([[a, b], [b, a]])
-        lemma = np.array(block_symmetric_spectrum(a, b).eigenvalues)
-        direct = np.array(hermitian_spectrum(m).eigenvalues)
-        np.testing.assert_allclose(lemma, direct, atol=1e-10)
-
-
 class TestSwitchedSpectrum:
     def test_d2_q0_pure(self):
-        spec = switched_spectrum(2, 0.0, Spectrum((1.0, 0.0)))
+        spec = switched_spectrum(2, 0.0, PLUS, Spectrum((1.0, 0.0)))
         np.testing.assert_allclose(
             sorted(spec.eigenvalues), sorted([3 / 8, 1 / 4, 1 / 4, 1 / 8]), atol=1e-12
         )
 
     def test_q1_pure_input_stays_pure(self):
-        spec = switched_spectrum(3, 1.0, Spectrum((1.0, 0.0, 0.0)))
+        spec = switched_spectrum(3, 1.0, PLUS, Spectrum((1.0, 0.0, 0.0)))
         np.testing.assert_allclose(sorted(spec.eigenvalues)[-1], 1.0, atol=1e-12)
         assert sum(spec.eigenvalues) == pytest.approx(1.0)
 
@@ -105,15 +82,21 @@ class TestSwitchedSpectrum:
     def test_sums_to_one(self, d, q):
         for seed in range(5):
             rho = ginibre(d, seed)
-            spec = switched_spectrum(d, q, hermitian_spectrum(rho.matrix))
+            spec = switched_spectrum(d, q, PLUS, hermitian_spectrum(rho.matrix))
             assert abs(sum(spec.eigenvalues) - 1.0) <= 1e-12
 
-    @given(st.integers(0, 200), st.sampled_from([2, 3, 4, 5]), st.sampled_from([0.0, 0.3, 0.7]))
+    @given(
+        st.integers(0, 200),
+        st.sampled_from([2, 3, 4, 5]),
+        st.sampled_from([0.0, 0.3, 0.7]),
+        st.sampled_from(P_GRID),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_matches_eigensolver(self, seed, d, q):
+    def test_matches_eigensolver(self, seed, d, q, p):
         rho = ginibre(d, seed)
-        predicted = switched_spectrum(d, q, hermitian_spectrum(rho.matrix))
-        js = switched_depolarizing_analytic(d, q, PLUS, rho)
+        ctrl = ControlState(p)
+        predicted = switched_spectrum(d, q, ctrl, hermitian_spectrum(rho.matrix))
+        js = switched_depolarizing_analytic(d, q, ctrl, rho)
         solved = hermitian_spectrum(js.state.matrix)
         np.testing.assert_allclose(
             np.array(predicted.eigenvalues), np.array(solved.eigenvalues), atol=1e-10
@@ -122,43 +105,43 @@ class TestSwitchedSpectrum:
 
 class TestMinimumEntropy:
     def test_frozen_values(self):
-        assert h_min(2, 0.0) == pytest.approx(HMIN_D2_Q0, abs=1e-6)
-        assert h_min(3, 0.0) == pytest.approx(HMIN_D3_Q0, abs=1e-6)
+        assert h_min(2, 0.0, PLUS) == pytest.approx(HMIN_D2_Q0, abs=1e-6)
+        assert h_min(3, 0.0, PLUS) == pytest.approx(HMIN_D3_Q0, abs=1e-6)
 
     def test_noiseless_is_zero(self):
         for d in (2, 3, 4):
-            assert h_min(d, 1.0) == pytest.approx(0.0, abs=1e-12)
+            assert h_min(d, 1.0, PLUS) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_inputs_minimize(self):
         # entropy of any mixed-input spectrum must not fall below h_min
-        for seed in range(20):
-            rho = ginibre(3, seed)
-            from switchcap.qmat import entropy_bits
-
-            spec = switched_spectrum(3, 0.2, hermitian_spectrum(rho.matrix))
-            assert entropy_bits(spec.eigenvalues) >= h_min(3, 0.2) - 1e-12
+        for p in P_GRID:
+            ctrl = ControlState(p)
+            for seed in range(20):
+                rho = ginibre(3, seed)
+                spec = switched_spectrum(3, 0.2, ctrl, hermitian_spectrum(rho.matrix))
+                assert entropy_bits(spec.eigenvalues) >= h_min(3, 0.2, ctrl) - 1e-12
 
 
 class TestHolevoAnalytic:
     def test_frozen_values(self):
-        a2 = holevo_analytic(2, 0.0)
+        a2 = holevo_analytic(2, 0.0, PLUS)
         assert a2.chi == pytest.approx(CHI_D2_Q0, abs=1e-6)
         assert a2.entropy_control == pytest.approx(HC_D2_Q0, abs=1e-6)
-        a3 = holevo_analytic(3, 0.0)
+        a3 = holevo_analytic(3, 0.0, PLUS)
         assert a3.chi == pytest.approx(CHI_D3_Q0, abs=1e-6)
         assert a3.entropy_control == pytest.approx(HC_D3_Q0, abs=1e-6)
 
     def test_noiseless_limit(self):
         for d in (2, 3, 4, 5):
-            assert holevo_analytic(d, 1.0).chi == pytest.approx(np.log2(d), abs=1e-9)
+            assert holevo_analytic(d, 1.0, PLUS).chi == pytest.approx(np.log2(d), abs=1e-9)
 
     def test_decreases_with_dimension(self):
-        chis = [holevo_analytic(d, 0.0).chi for d in range(2, 7)]
+        chis = [holevo_analytic(d, 0.0, PLUS).chi for d in range(2, 7)]
         assert all(a > b for a, b in zip(chis, chis[1:]))
 
     def test_consistency_identity(self):
         for d, q in ((2, 0.0), (3, 0.5), (4, 0.9)):
-            a = holevo_analytic(d, q)
+            a = holevo_analytic(d, q, PLUS)
             assert a.chi == pytest.approx(
                 np.log2(d) + a.entropy_control - a.h_min, abs=1e-12
             )
@@ -166,7 +149,7 @@ class TestHolevoAnalytic:
     def test_continuous_in_q(self):
         # steep but continuous near q=1; gaps shrink under grid refinement
         def max_gap(n):
-            chis = [holevo_analytic(2, q).chi for q in np.linspace(0, 1, n)]
+            chis = [holevo_analytic(2, q, PLUS).chi for q in np.linspace(0, 1, n)]
             return max(abs(a - b) for a, b in zip(chis, chis[1:]))
 
         assert max_gap(201) < 0.05
@@ -180,22 +163,27 @@ class TestHolevoOfEnsemble:
         assert holevo_of_ensemble(ch, ens) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthonormal_ensemble_attains_chi(self):
-        dep = depolarizing_channel(2, 0.0)
-        ch = switch_with_fixed_control(dep, dep, PLUS)
-        chi = holevo_of_ensemble(ch, orthonormal_ensemble(2))
-        assert chi == pytest.approx(CHI_D2_Q0, abs=1e-6)
+        for q in (0.0, 0.3):
+            dep = depolarizing_channel(2, q)
+            for p in P_GRID:
+                ctrl = ControlState(p)
+                ch = switch_with_fixed_control(dep, dep, ctrl)
+                chi = holevo_of_ensemble(ch, orthonormal_ensemble(2))
+                assert chi == pytest.approx(holevo_analytic(2, q, ctrl).chi, abs=1e-12)
+        assert holevo_analytic(2, 0.0, PLUS).chi == pytest.approx(CHI_D2_Q0, abs=1e-6)
 
     def test_single_state_ensemble(self):
         ch = identity_channel(3)
         ens = Ensemble(((1.0, ginibre(3, 0)),))
         assert holevo_of_ensemble(ch, ens) == pytest.approx(0.0, abs=1e-12)
 
-    @given(st.integers(0, 100))
+    @given(st.integers(0, 100), st.sampled_from(P_GRID))
     @settings(max_examples=20, deadline=None)
-    def test_never_exceeds_analytic_bound(self, seed):
+    def test_never_exceeds_analytic_bound(self, seed, p):
         d = 2
+        ctrl = ControlState(p)
         dep = depolarizing_channel(d, 0.0)
-        ch = switch_with_fixed_control(dep, dep, PLUS)
+        ch = switch_with_fixed_control(dep, dep, ctrl)
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, d * d + 1))
         states = []
@@ -205,7 +193,7 @@ class TestHolevoOfEnsemble:
             states.append(DensityMatrix(np.outer(v, v.conj())))
         probs = rng.dirichlet(np.ones(m))
         ens = Ensemble(tuple(zip(map(float, probs), states)))
-        assert holevo_of_ensemble(ch, ens) <= CHI_D2_Q0 + 1e-8
+        assert holevo_of_ensemble(ch, ens) <= holevo_analytic(d, 0.0, ctrl).chi + 1e-12
 
 
 class TestOptimizer:
@@ -215,9 +203,12 @@ class TestOptimizer:
 
     def test_attains_analytic_value(self):
         dep = depolarizing_channel(2, 0.0)
-        ch = switch_with_fixed_control(dep, dep, PLUS)
-        res = optimize_ensemble(ch, 2, trials=100, seed=0)
-        assert res.chi == pytest.approx(CHI_D2_Q0, abs=1e-6)
+        for p in P_GRID:
+            ctrl = ControlState(p)
+            ch = switch_with_fixed_control(dep, dep, ctrl)
+            res = optimize_ensemble(ch, 2, trials=100, seed=0)
+            assert res.chi == pytest.approx(holevo_analytic(2, 0.0, ctrl).chi, abs=1e-12)
+            assert res.refine_steps == 0
 
     def test_dephased_control_transmits_nothing(self):
         dep = depolarizing_channel(2, 0.0)

@@ -1,4 +1,6 @@
 import json
+import math
+import time
 from pathlib import Path
 
 import pytest
@@ -44,14 +46,17 @@ class TestSweep:
         keys = [(r.d, r.q, r.p) for r in rows]
         assert keys == sorted(keys)
 
-    def test_offcenter_p_has_empty_analytic_columns(self, capsys):
-        code, out = run(
-            capsys, "sweep", "--dims", "2", "--q", "0", "--p", "0.3", "--trials", "3"
-        )
-        fields = out.splitlines()[1].split(",")
-        assert fields[3] == ""   # chi_analytic
-        assert fields[6] == ""   # h_min
-        assert fields[5] != ""   # entropy_control still defined
+    def test_offcenter_p_analytic_columns_match_numeric(self, capsys):
+        argv = "sweep --dims 2,3 --q 0,0.3 --p 0,0.2,0.7,1 --trials 3".split()
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert all("" not in line.split(",") for line in out.splitlines())
+        cfg = SweepConfig(dims=(2, 3), q_values=(0.0, 0.3),
+                          p_values=(0.0, 0.2, 0.7, 1.0), optimizer_trials=3)
+        for r in run_sweep(cfg):
+            bound = math.log2(r.d) + r.entropy_control - r.h_min
+            assert r.chi_analytic == pytest.approx(bound, abs=1e-12)
+            assert r.chi_analytic == pytest.approx(r.chi_numeric, abs=1e-12)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["sweep", "--dims", "2", "--q", "0,0.5", "--trials", "10", "--seed", "7"]
@@ -89,6 +94,15 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--dims", "2", "--q", "0", "--trials", "1"] + extra.split())
         assert exc.value.code == 2
+
+    def test_oversized_dimension_usage_error(self, capsys):
+        SweepConfig(dims=tuple(range(2, 17)), q_values=(0.0,))
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dims", "40", "--q", "0"])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        assert "394 GB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, argv", [
         ("sweep-readme", "--dims 2,3,4 --q 0,0.25,0.5 --p 0.5 --trials 200 --seed 0"),

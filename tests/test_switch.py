@@ -193,6 +193,36 @@ class TestFourierMeasurement:
         probs = [o.probability for o in fourier_measure_control(js)]
         assert abs(sum(probs) - 1.0) <= 1e-12
 
+    def test_near_balanced_control_regression(self):
+        # q = 1 leaves one outcome with probability ~10^-2k; normalizing its
+        # conditional operator magnifies round-off past the state tolerances.
+        for k in range(1, 17):
+            ctrl = ControlState(0.5 + 10.0**-k)
+            for seed in range(10):
+                js = switched_depolarizing_analytic(3, 1.0, ctrl, ginibre(3, seed))
+                probs = [o.probability for o in fourier_measure_control(js)]
+                assert abs(sum(probs) - 1.0) <= 1e-12
+
+    @given(
+        st.integers(0, 300),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([0.0, 0.5, 1.0 - 1e-6, 1.0]),
+        st.integers(1, 16),
+        st.sampled_from([-1.0, 1.0]),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_outcomes_are_states(self, seed, d, q, k, sign, pure):
+        rho = ginibre(d, seed)
+        if pure:
+            _, v = np.linalg.eigh(rho.matrix)
+            rho = DensityMatrix(np.outer(v[:, -1], v[:, -1].conj()))
+        ctrl = ControlState(0.5 + sign * 10.0**-k)
+        outcomes = fourier_measure_control(switched_depolarizing_analytic(d, q, ctrl, rho))
+        assert abs(sum(o.probability for o in outcomes) - 1.0) <= 1e-12
+        for o in outcomes:
+            assert isinstance(o.state, DensityMatrix) and o.state.dim == d
+
 
 class TestFixedControlEmbedding:
     def test_is_cptp(self):
