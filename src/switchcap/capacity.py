@@ -212,19 +212,19 @@ def _transfer_matrix(ch: KrausChannel) -> np.ndarray:
 
 
 def _chi_pure(transfer: np.ndarray, dim_out: int, probs, vecs) -> float:
-    """Holevo quantity of a pure-state ensemble via the transfer matrix."""
-    probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    probs = probs / probs.sum()
+    """Holevo quantity of a pure-state ensemble via the transfer matrix.
+
+    ``probs`` must be a distribution and every vector must have unit norm.
+    """
 
     def output(v):
-        v = v / np.linalg.norm(v)
         return (transfer @ np.outer(v, v.conj()).reshape(-1)).reshape(dim_out, dim_out)
 
     return _holevo(probs, vecs, output, dim_out)
 
 
 def optimize_ensemble(
-    ch: KrausChannel, d: int, trials: int = 200, seed: int = 0
+    ch: KrausChannel, trials: int = 200, seed: int = 0
 ) -> OptimizerResult:
     """Best of the uniform orthonormal ensemble and ``trials`` random ones.
 
@@ -235,9 +235,7 @@ def optimize_ensemble(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if ch.dim_in != d:
-        raise DimensionMismatchError(f"channel input {ch.dim_in} != {d}")
-
+    d = ch.dim_in
     transfer = _transfer_matrix(ch)
     best_probs = np.full(d, 1.0 / d)
     best_vecs = [np.eye(d, dtype=complex)[i] for i in range(d)]

@@ -67,7 +67,7 @@ def run_sweep(cfg: SweepConfig) -> list[capacity.CapacityReport]:
                 dep = depolarizing_channel(d, q)
                 ch = switch_with_fixed_control(dep, dep, ctrl)
                 result = capacity.optimize_ensemble(
-                    ch, d, trials=cfg.optimizer_trials, seed=cfg.seed
+                    ch, trials=cfg.optimizer_trials, seed=cfg.seed
                 )
                 chi_a, hc, hm = capacity.holevo_analytic(d, q, ctrl)
                 rows.append(
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
         if not (math.isfinite(args.tol) and args.tol >= 0):
             parser.error(f"tolerance must be finite and >= 0, got {args.tol}")
         try:
-            report = oracle.verify_equivalence(args.suite, args.tol)
+            report = oracle.verify_equivalence(args.suite)
         except ValueError as exc:
             parser.error(str(exc))
         text = (report.to_json() if args.as_json else str(report)) + "\n"

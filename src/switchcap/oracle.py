@@ -1,8 +1,9 @@
 """Independent brute-force verification layer.
 
 The brute-force path below rebuilds everything from raw operator sums: its
-own Weyl unitaries, its own Kraus list, and an explicit double loop over
-all (d^2 + 1)^2 operator pairs. It deliberately shares nothing with the
+own Weyl unitaries, its own Kraus list, and one stacked array of all
+(d^2 + 1)^2 switched operators W, whose output is the stacked sum of
+W sigma W' over every pair. It deliberately shares nothing with the
 channel/switch modules beyond the qmat primitives, so agreement between
 the two paths is meaningful.
 
@@ -22,15 +23,6 @@ from . import capacity, switch
 from .channels import depolarizing_channel
 from .qmat import DensityMatrix, hermitian_spectrum, partial_trace, tensor
 from .switch import ControlState
-
-SUITES = (
-    "analytic-vs-brute",
-    "spectrum-vs-eigensolver",
-    "chi-vs-optimizer",
-    "marginals",
-    "cptp",
-)
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -71,25 +63,30 @@ def _weyl_ops(d: int) -> list[np.ndarray]:
     return ops
 
 
-def _switch_pairs(d: int, q: float):
-    """Yield the (d^2+1)^2 switched Kraus operators of two noise-q depolarizers."""
-    kraus = [np.sqrt(q) * np.eye(d, dtype=complex)]
-    kraus += [np.sqrt(1.0 - q) / d * u for u in _weyl_ops(d)]
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    for ki in kraus:
-        for kj in kraus:
-            yield tensor(ki @ kj, p0) + tensor(kj @ ki, p1)
+def _switch_kraus(d: int, q: float) -> np.ndarray:
+    """The (d^2+1)^2 switched Kraus operators of two noise-q depolarizers.
+
+    Operator (i, j) is K_i K_j (x) |0><0| + K_j K_i (x) |1><1|, stacked into
+    one (n^2, 2d, 2d) array.
+    """
+    kraus = np.array(
+        [np.sqrt(q) * np.eye(d, dtype=complex)]
+        + [np.sqrt(1.0 - q) / d * u for u in _weyl_ops(d)]
+    )
+    n = len(kraus)
+    w = np.zeros((n, n, d, 2, d, 2), dtype=complex)
+    w[:, :, :, 0, :, 0] = kraus[:, None] @ kraus[None, :]
+    w[:, :, :, 1, :, 1] = kraus[None, :] @ kraus[:, None]
+    return w.reshape(n * n, 2 * d, 2 * d)
 
 
 def brute_force_switch_output(
     d: int, q: float, ctrl: ControlState, rho: DensityMatrix
 ) -> switch.JointState:
-    """Explicit sum over all (d^2+1)^2 Kraus pairs of the switched channel."""
+    """Sum of W sigma W' over all (d^2+1)^2 Kraus pairs of the switched channel."""
     sigma = tensor(rho.matrix, ctrl.density())
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    for w in _switch_pairs(d, q):
-        out += w @ sigma @ w.conj().T
+    w = _switch_kraus(d, q)
+    out = (w @ sigma @ w.conj().transpose(0, 2, 1)).sum(0)
     return switch.JointState(d, DensityMatrix(out))
 
 
@@ -114,87 +111,88 @@ def reference_constants(dps: int = 50) -> dict[str, float]:
         return out
 
 
-def _track(worst, dev, instances, **params):
-    instances[0] += 1
-    if dev > worst[0]:
-        worst[0] = dev
-        worst[1] = params
-    return worst
+def _analytic_vs_brute():
+    for d in (2, 3, 4):
+        for q in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for p in (0.0, 0.3, 0.5, 1.0):
+                ctrl = ControlState(p)
+                for seed in range(20):
+                    rho = random_density_matrix(d, seed)
+                    brute = brute_force_switch_output(d, q, ctrl, rho)
+                    analytic = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
+                    dev = float(np.abs(brute.state.matrix - analytic.state.matrix).max())
+                    yield dev, dict(d=d, q=q, p=p, seed=seed)
 
 
-def verify_equivalence(suite: str, tolerance: float = 1e-9) -> ComparisonReport:
+def _spectrum_vs_eigensolver():
+    for d in (2, 3, 4, 5):
+        for q in (0.0, 0.3, 0.7, 1.0):
+            for p in (0.2, 0.5, 0.7):
+                ctrl = ControlState(p)
+                for seed in range(10):
+                    rho = random_density_matrix(d, seed)
+                    rho_spec = hermitian_spectrum(rho.matrix)
+                    predicted = capacity.switched_spectrum(d, q, ctrl, rho_spec)
+                    js = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
+                    solved = hermitian_spectrum(js.state.matrix)
+                    diff = np.subtract(predicted.eigenvalues, solved.eigenvalues)
+                    dev = float(np.abs(diff).max())
+                    yield dev, dict(d=d, q=q, p=p, seed=seed)
+
+
+def _chi_vs_optimizer():
+    for d in (2, 3):
+        dep = depolarizing_channel(d, 0.0)
+        for p in (0.2, 0.5, 0.7):
+            ctrl = ControlState(p)
+            ch = switch.switch_with_fixed_control(dep, dep, ctrl)
+            result = capacity.optimize_ensemble(ch, trials=200, seed=0)
+            chi = capacity.holevo_analytic(d, 0.0, ctrl).chi
+            yield abs(result.chi - chi), dict(d=d, q=0.0, p=p, seed=0)
+
+
+def _marginals():
+    ctrl = ControlState(0.5)
+    for d in (2, 3, 4):
+        target_ref = np.eye(d) / d
+        control_ref = capacity.reduced_control_state(d, 0.0, ctrl).matrix
+        for seed in range(10):
+            rho = random_density_matrix(d, seed)
+            js = brute_force_switch_output(d, 0.0, ctrl, rho)
+            tmarg = partial_trace(js.state, d, 2, "A")
+            cmarg = partial_trace(js.state, d, 2, "B")
+            dev = max(
+                float(np.abs(tmarg.matrix - target_ref).max()),
+                float(np.abs(cmarg.matrix - control_ref).max()),
+            )
+            yield dev, dict(d=d, q=0.0, p=0.5, seed=seed)
+
+
+def _cptp():
+    for d in (2, 3, 4):
+        for q in (0.0, 0.4, 1.0):
+            w = _switch_kraus(d, q)
+            total = (w.conj().transpose(0, 2, 1) @ w).sum(0)
+            dev = float(np.abs(total - np.eye(2 * d)).max())
+            yield dev, dict(d=d, q=q, p=0.5, seed=0)
+
+
+# Each suite yields (deviation, parameters) over its fixed grid.
+SUITES = {
+    "analytic-vs-brute": _analytic_vs_brute,
+    "spectrum-vs-eigensolver": _spectrum_vs_eigensolver,
+    "chi-vs-optimizer": _chi_vs_optimizer,
+    "marginals": _marginals,
+    "cptp": _cptp,
+}
+
+
+def verify_equivalence(suite: str) -> ComparisonReport:
     """Run one named comparison family over its parameter grid."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
-    worst = [0.0, {}]
-    count = [0]
-
-    if suite == "analytic-vs-brute":
-        for d in (2, 3, 4):
-            for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-                for p in (0.0, 0.3, 0.5, 1.0):
-                    ctrl = ControlState(p)
-                    for seed in range(20):
-                        rho = random_density_matrix(d, seed)
-                        brute = brute_force_switch_output(d, q, ctrl, rho)
-                        analytic = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
-                        dev = float(
-                            np.abs(brute.state.matrix - analytic.state.matrix).max()
-                        )
-                        _track(worst, dev, count, d=d, q=q, p=p, seed=seed)
-
-    elif suite == "spectrum-vs-eigensolver":
-        for d in (2, 3, 4, 5):
-            for q in (0.0, 0.3, 0.7, 1.0):
-                for p in (0.2, 0.5, 0.7):
-                    ctrl = ControlState(p)
-                    for seed in range(10):
-                        rho = random_density_matrix(d, seed)
-                        rho_spec = hermitian_spectrum(rho.matrix)
-                        predicted = capacity.switched_spectrum(d, q, ctrl, rho_spec)
-                        js = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
-                        solved = hermitian_spectrum(js.state.matrix)
-                        dev = float(
-                            np.abs(
-                                np.array(predicted.eigenvalues)
-                                - np.array(solved.eigenvalues)
-                            ).max()
-                        )
-                        _track(worst, dev, count, d=d, q=q, p=p, seed=seed)
-
-    elif suite == "chi-vs-optimizer":
-        for d in (2, 3):
-            dep = depolarizing_channel(d, 0.0)
-            for p in (0.2, 0.5, 0.7):
-                ctrl = ControlState(p)
-                ch = switch.switch_with_fixed_control(dep, dep, ctrl)
-                result = capacity.optimize_ensemble(ch, d, trials=200, seed=0)
-                chi = capacity.holevo_analytic(d, 0.0, ctrl).chi
-                _track(worst, abs(result.chi - chi), count, d=d, q=0.0, p=p, seed=0)
-
-    elif suite == "marginals":
-        ctrl = ControlState(0.5)
-        for d in (2, 3, 4):
-            target_ref = np.eye(d) / d
-            control_ref = capacity.reduced_control_state(d, 0.0, ctrl).matrix
-            for seed in range(10):
-                rho = random_density_matrix(d, seed)
-                js = brute_force_switch_output(d, 0.0, ctrl, rho)
-                tmarg = partial_trace(js.state, d, 2, "A")
-                cmarg = partial_trace(js.state, d, 2, "B")
-                dev = max(
-                    float(np.abs(tmarg.matrix - target_ref).max()),
-                    float(np.abs(cmarg.matrix - control_ref).max()),
-                )
-                _track(worst, dev, count, d=d, q=0.0, p=0.5, seed=seed)
-
-    elif suite == "cptp":
-        for d in (2, 3, 4):
-            for q in (0.0, 0.4, 1.0):
-                total = np.zeros((2 * d, 2 * d), dtype=complex)
-                for w in _switch_pairs(d, q):
-                    total += w.conj().T @ w
-                dev = float(np.abs(total - np.eye(2 * d)).max())
-                _track(worst, dev, count, d=d, q=q, p=0.5, seed=0)
-
-    return ComparisonReport(suite, worst[0], count[0], worst[1])
+    worst, where, count = 0.0, {}, 0
+    for count, (dev, params) in enumerate(SUITES[suite](), start=1):
+        if dev > worst:
+            worst, where = dev, params
+    return ComparisonReport(suite, worst, count, where)

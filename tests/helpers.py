@@ -1,8 +1,14 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and suite runs for the test suite."""
+
+import functools
 
 import numpy as np
 
-from switchcap.oracle import random_density_matrix as ginibre
+from switchcap.oracle import random_density_matrix as ginibre, verify_equivalence
+
+# A suite's report is immutable and its grid fixed, so the tests that assert
+# on the same suite share one run of it.
+suite_report = functools.cache(verify_equivalence)
 
 
 def haar_unitary(d, seed):

@@ -10,8 +10,6 @@ from switchcap.capacity import (
     holevo_analytic,
     holevo_of_ensemble,
     optimize_ensemble,
-    reduced_control_state,
-    switched_spectrum,
 )
 from switchcap.channels import (
     KrausChannel,
@@ -21,15 +19,16 @@ from switchcap.channels import (
     apply,
 )
 from switchcap.cli import main
-from switchcap.oracle import brute_force_switch_output, random_density_matrix
-from switchcap.qmat import DensityMatrix, hermitian_spectrum, partial_trace, tensor
+from switchcap.oracle import random_density_matrix
+from switchcap.qmat import DensityMatrix, tensor
 from switchcap.switch import (
     ControlState,
     switch_apply,
     switch_channel,
     switch_with_fixed_control,
-    switched_depolarizing_analytic,
 )
+
+from helpers import suite_report
 
 PLUS = ControlState(0.5)
 
@@ -40,20 +39,9 @@ def report(name, ok, detail=""):
 
 
 def test_criterion_1_closed_form_equivalence():
-    worst = 0.0
-    for d in (2, 3, 4):
-        for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            for p in (0.0, 0.3, 0.5, 1.0):
-                ctrl = ControlState(p)
-                for seed in range(20):
-                    rho = random_density_matrix(d, seed)
-                    brute = brute_force_switch_output(d, q, ctrl, rho)
-                    analytic = switched_depolarizing_analytic(d, q, ctrl, rho)
-                    dev = float(
-                        np.abs(brute.state.matrix - analytic.state.matrix).max()
-                    )
-                    worst = max(worst, dev)
-    report("1 closed-form equals brute force", worst <= 1e-10, f"max dev {worst:.2e}")
+    r = suite_report("analytic-vs-brute")
+    ok = r.instances_tested == 1200 and r.max_abs_deviation <= 1e-10
+    report("1 closed-form equals brute force", ok, str(r))
 
 
 def test_criterion_2_capacity_values():
@@ -81,7 +69,7 @@ def test_criterion_5_optimizer_attainment_and_bound():
         dep = depolarizing_channel(d, 0.0)
         ch = switch_with_fixed_control(dep, dep, PLUS)
         chi = holevo_analytic(d, 0.0, PLUS).chi
-        result = optimize_ensemble(ch, d, trials=500, seed=0)
+        result = optimize_ensemble(ch, trials=500, seed=0)
         worst_gap = max(worst_gap, abs(result.chi - chi))
         worst_excess = max(worst_excess, result.chi - chi)
         # independent sampling pass: the bound must also hold away from optima
@@ -107,7 +95,7 @@ def test_criterion_5_optimizer_attainment_and_bound():
 def test_criterion_6_decoherence_null():
     dep = depolarizing_channel(2, 0.0)
     ch = switch_with_fixed_control(dep, dep, ControlState(0.5, coherent=False))
-    result = optimize_ensemble(ch, 2, trials=100, seed=0)
+    result = optimize_ensemble(ch, trials=100, seed=0)
     report("6 dephased control transmits nothing", result.chi <= 1e-9, f"chi {result.chi:.2e}")
 
 
@@ -137,18 +125,8 @@ def test_criterion_8_structural_suite():
             cptp_dev = max(cptp_dev, float(np.abs(total - np.eye(2 * d)).max()))
 
     # marginal laws at q=0
-    marg_dev = 0.0
-    for d in (2, 3):
-        for seed in range(10):
-            rho = random_density_matrix(d, seed)
-            js = brute_force_switch_output(d, 0.0, PLUS, rho)
-            tm = partial_trace(js.state, d, 2, "A").matrix
-            cm = partial_trace(js.state, d, 2, "B").matrix
-            marg_dev = max(
-                marg_dev,
-                float(np.abs(tm - np.eye(d) / d).max()),
-                float(np.abs(cm - reduced_control_state(d, 0.0, PLUS).matrix).max()),
-            )
+    marginals = suite_report("marginals")
+    marg_dev = marginals.max_abs_deviation
 
     # Kraus-representation independence
     rep_dev = 0.0
@@ -167,26 +145,17 @@ def test_criterion_8_structural_suite():
         rep_dev = max(rep_dev, float(np.abs(a - b).max()))
 
     # spectrum formula vs generic eigensolver
-    spec_dev = 0.0
-    for d in (2, 3, 4, 5):
-        for q in (0.0, 0.3, 0.7):
-            for ctrl in (ControlState(0.2), PLUS, ControlState(0.7)):
-                for seed in range(5):
-                    rho = random_density_matrix(d, seed)
-                    predicted = switched_spectrum(d, q, ctrl, hermitian_spectrum(rho.matrix))
-                    js = switched_depolarizing_analytic(d, q, ctrl, rho)
-                    solved = hermitian_spectrum(js.state.matrix)
-                    spec_dev = max(
-                        spec_dev,
-                        float(
-                            np.abs(
-                                np.array(predicted.eigenvalues)
-                                - np.array(solved.eigenvalues)
-                            ).max()
-                        ),
-                    )
+    spectrum = suite_report("spectrum-vs-eigensolver")
+    spec_dev = spectrum.max_abs_deviation
 
-    ok = cptp_dev <= 1e-12 and marg_dev <= 1e-10 and rep_dev <= 1e-10 and spec_dev <= 1e-10
+    ok = (
+        cptp_dev <= 1e-12
+        and marginals.instances_tested == 30
+        and marg_dev <= 1e-10
+        and rep_dev <= 1e-10
+        and spectrum.instances_tested == 480
+        and spec_dev <= 1e-10
+    )
     report(
         "8 structural suite (cptp/marginals/representation/spectrum)",
         ok,

@@ -198,7 +198,7 @@ class TestHolevoOfEnsemble:
 
 class TestOptimizer:
     def test_identity_channel_reaches_one_bit(self):
-        res = optimize_ensemble(identity_channel(2), 2, trials=50, seed=0)
+        res = optimize_ensemble(identity_channel(2), trials=50, seed=0)
         assert res.chi == pytest.approx(1.0, abs=1e-6)
 
     def test_attains_analytic_value(self):
@@ -206,26 +206,26 @@ class TestOptimizer:
         for p in P_GRID:
             ctrl = ControlState(p)
             ch = switch_with_fixed_control(dep, dep, ctrl)
-            res = optimize_ensemble(ch, 2, trials=100, seed=0)
+            res = optimize_ensemble(ch, trials=100, seed=0)
             assert res.chi == pytest.approx(holevo_analytic(2, 0.0, ctrl).chi, abs=1e-12)
             assert res.refine_steps == 0
 
     def test_dephased_control_transmits_nothing(self):
         dep = depolarizing_channel(2, 0.0)
         ch = switch_with_fixed_control(dep, dep, ControlState(0.5, coherent=False))
-        res = optimize_ensemble(ch, 2, trials=50, seed=0)
+        res = optimize_ensemble(ch, trials=50, seed=0)
         assert res.chi <= 1e-9
 
     def test_deterministic_in_seed(self):
         dep = depolarizing_channel(2, 0.0)
         ch = switch_with_fixed_control(dep, dep, PLUS)
-        a = optimize_ensemble(ch, 2, trials=25, seed=3)
-        b = optimize_ensemble(ch, 2, trials=25, seed=3)
+        a = optimize_ensemble(ch, trials=25, seed=3)
+        b = optimize_ensemble(ch, trials=25, seed=3)
         assert a.chi == b.chi
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            optimize_ensemble(identity_channel(2), 2, trials=0)
+            optimize_ensemble(identity_channel(2), trials=0)
 
 
 class TestEnsembleValidation:

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchcap.cli import SweepConfig, main, render_csv, run_sweep
 
@@ -13,6 +16,14 @@ DATA = Path(__file__).parent / "data"
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def usage_error(argv):
+    """Exit code and stderr of a ``main`` call that must stop in ``parser.error``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, err.getvalue()
 
 
 class TestSweep:
@@ -95,6 +106,14 @@ class TestSweep:
             main(["sweep", "--dims", "2", "--q", "0", "--trials", "1"] + extra.split())
         assert exc.value.code == 2
 
+    @settings(max_examples=25, deadline=None)
+    @given(trials=st.integers(max_value=0))
+    def test_nonpositive_trials_property(self, trials):
+        code, err = usage_error(["sweep", "--dims", "2", "--q", "0", f"--trials={trials}"])
+        assert code == 2
+        assert "trials must be >= 1" in err
+        assert "Traceback" not in err
+
     def test_oversized_dimension_usage_error(self, capsys):
         SweepConfig(dims=tuple(range(2, 17)), q_values=(0.0,))
         start = time.perf_counter()
@@ -134,6 +153,14 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "cptp", "--tol", tol])
         assert exc.value.code == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(tol=st.floats(max_value=-math.ulp(0.0)) | st.sampled_from([math.inf, math.nan]))
+    def test_bad_tolerance_property(self, tol):
+        code, err = usage_error(["verify", "cptp", f"--tol={tol!r}"])
+        assert code == 2
+        assert "tolerance must be finite and >= 0" in err
+        assert "Traceback" not in err
 
     def test_json_report(self, capsys):
         code, out = run(capsys, "verify", "marginals", "--tol", "1e-10", "--json")

@@ -12,7 +12,9 @@ from switchcap.oracle import (
     verify_equivalence,
 )
 from switchcap.qmat import tensor
-from switchcap.switch import ControlState, switched_depolarizing_analytic
+from switchcap.switch import ControlState
+
+from helpers import suite_report
 
 PLUS = ControlState(0.5)
 
@@ -35,16 +37,6 @@ class TestRandomDensityMatrix:
 
 
 class TestBruteForce:
-    def test_matches_analytic(self):
-        for d in (2, 3):
-            for q in (0.0, 0.5, 1.0):
-                for seed in range(3):
-                    rho = random_density_matrix(d, seed)
-                    brute = brute_force_switch_output(d, q, PLUS, rho)
-                    analytic = switched_depolarizing_analytic(d, q, PLUS, rho)
-                    dev = np.abs(brute.state.matrix - analytic.state.matrix).max()
-                    assert dev <= 1e-10
-
     def test_q0_block_structure(self):
         d = 2
         rho = random_density_matrix(d, 0)
@@ -82,9 +74,9 @@ class TestVerifyEquivalence:
         with pytest.raises(ValueError):
             verify_equivalence("nonexistent")
 
-    @pytest.mark.parametrize("suite", ["spectrum-vs-eigensolver", "marginals", "cptp"])
+    @pytest.mark.parametrize("suite", SUITES)
     def test_fast_suites_pass(self, suite):
-        report = verify_equivalence(suite, 1e-10)
+        report = suite_report(suite)
         assert report.max_abs_deviation <= 1e-10
         assert report.instances_tested > 0
 
