@@ -126,6 +126,7 @@ class TestSweep:
     @pytest.mark.parametrize("name, argv", [
         ("sweep-readme", "--dims 2,3,4 --q 0,0.25,0.5 --p 0.5 --trials 200 --seed 0"),
         ("sweep-offcenter", "--dims 2,3 --q 0,0.3 --p 0.2,0.7 --trials 20 --seed 0"),
+        ("sweep-d8", "--dims 8 --q 0 --p 0.3,0.5 --trials 20 --seed 0"),
     ])
     def test_golden_output(self, capsys, name, argv):
         code, out = run(capsys, "sweep", *argv.split())
