@@ -58,7 +58,6 @@ class AnalyticCapacity(NamedTuple):
 
 @dataclass(frozen=True)
 class OptimizerResult:
-    ensemble: Ensemble
     chi: float
     trials_run: int
     refine_steps: int  # always 0: there is no local refinement
@@ -186,20 +185,9 @@ def orthonormal_ensemble(d: int) -> Ensemble:
     )
 
 
-def _pure_state(vec: np.ndarray) -> DensityMatrix:
-    v = vec / np.linalg.norm(vec)
-    return DensityMatrix(np.outer(v, v.conj()))
-
-
 def _random_pure_vec(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
-
-
-def _assemble(probs: np.ndarray, vecs: list[np.ndarray]) -> Ensemble:
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    return Ensemble(tuple((float(p), _pure_state(v)) for p, v in zip(probs, vecs)))
 
 
 def _transfer_matrix(ch: KrausChannel) -> np.ndarray:
@@ -208,7 +196,12 @@ def _transfer_matrix(ch: KrausChannel) -> np.ndarray:
     Internal optimizer speedup only; applying T once replaces the sum over
     the (possibly large, redundant) Kraus list.
     """
-    return sum(np.kron(k, k.conj()) for k in ch.kraus_ops)
+    k = ch.stacked()
+    n, r, c = k.shape
+    flat = k.reshape(n, r * c)
+    # entry ((a, x), (b, y)) is sum_k K[a, x] conj(K[b, y]) = kron(K, conj K)[ab, xy]
+    gram = (flat.T @ flat.conj()).reshape(r, c, r, c)
+    return gram.transpose(0, 2, 1, 3).reshape(r * r, c * c)
 
 
 def _chi_pure(transfer: np.ndarray, dim_out: int, probs, vecs) -> float:
@@ -237,9 +230,8 @@ def optimize_ensemble(
         raise ValueError("trials must be >= 1")
     d = ch.dim_in
     transfer = _transfer_matrix(ch)
-    best_probs = np.full(d, 1.0 / d)
-    best_vecs = [np.eye(d, dtype=complex)[i] for i in range(d)]
-    best_chi = _chi_pure(transfer, ch.dim_out, best_probs, best_vecs)
+    uniform = np.full(d, 1.0 / d)
+    best_chi = _chi_pure(transfer, ch.dim_out, uniform, np.eye(d, dtype=complex))
     source = "orthonormal"
 
     for t in range(trials):
@@ -249,7 +241,6 @@ def optimize_ensemble(
         probs = rng.dirichlet(np.ones(m))
         chi = _chi_pure(transfer, ch.dim_out, probs, vecs)
         if chi > best_chi:
-            best_chi, best_probs, best_vecs = chi, probs, vecs
-            source = "random"
+            best_chi, source = chi, "random"
 
-    return OptimizerResult(_assemble(best_probs, best_vecs), best_chi, trials, 0, source)
+    return OptimizerResult(best_chi, trials, 0, source)

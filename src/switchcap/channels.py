@@ -8,7 +8,7 @@ or canonicalized, so representation-independence stays testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,29 +21,35 @@ TOL_CPTP = 1e-9
 class KrausChannel:
     """A CPTP map given by a finite list of Kraus operators.
 
-    Each operator is ``dim_out x dim_in``. Completeness (sum K'K = I) is the
-    caller's responsibility; ``is_cptp`` checks it.
+    ``kraus_ops`` is a sequence of ``dim_out x dim_in`` operators or one
+    ``(n, dim_out, dim_in)`` array; it is kept as one read-only stack, with
+    ``kraus_ops`` a tuple of views into it. Completeness (sum K'K = I) is
+    the caller's responsibility; ``is_cptp`` checks it.
     """
 
     dim_in: int
     dim_out: int
     kraus_ops: tuple[np.ndarray, ...]
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.kraus_ops:
+        if len(self.kraus_ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
+        shape = (self.dim_out, self.dim_in)
+        for k in self.kraus_ops:
+            if np.shape(k) != shape:
                 raise DimensionMismatchError(
-                    f"Kraus operator shape {k.shape}, expected "
-                    f"({self.dim_out}, {self.dim_in})"
+                    f"Kraus operator shape {np.shape(k)}, expected {shape}"
                 )
-        object.__setattr__(self, "kraus_ops", ops)
+        # a view, so that an array passed in stays writeable for its owner
+        stack = np.asarray(self.kraus_ops, dtype=complex).view()
+        stack.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "kraus_ops", tuple(stack))
 
     def stacked(self) -> np.ndarray:
-        """All Kraus operators as one (n, dim_out, dim_in) array."""
-        return np.stack(self.kraus_ops)
+        """All Kraus operators as one read-only (n, dim_out, dim_in) array."""
+        return self._stack
 
 
 @dataclass(frozen=True)

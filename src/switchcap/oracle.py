@@ -13,6 +13,7 @@ extended precision (mpmath) and frozen into the test fixtures.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, asdict
 
@@ -63,11 +64,14 @@ def _weyl_ops(d: int) -> list[np.ndarray]:
     return ops
 
 
+# The suites call the oracle many times in a row at one (d, q), so the last
+# operator stack is kept; it is read-only because every caller shares it.
+@functools.lru_cache(maxsize=1)
 def _switch_kraus(d: int, q: float) -> np.ndarray:
     """The (d^2+1)^2 switched Kraus operators of two noise-q depolarizers.
 
     Operator (i, j) is K_i K_j (x) |0><0| + K_j K_i (x) |1><1|, stacked into
-    one (n^2, 2d, 2d) array.
+    one read-only (n^2, 2d, 2d) array.
     """
     kraus = np.array(
         [np.sqrt(q) * np.eye(d, dtype=complex)]
@@ -77,6 +81,7 @@ def _switch_kraus(d: int, q: float) -> np.ndarray:
     w = np.zeros((n, n, d, 2, d, 2), dtype=complex)
     w[:, :, :, 0, :, 0] = kraus[:, None] @ kraus[None, :]
     w[:, :, :, 1, :, 1] = kraus[None, :] @ kraus[:, None]
+    w.flags.writeable = False
     return w.reshape(n * n, 2 * d, 2 * d)
 
 

@@ -14,9 +14,6 @@ import numpy as np
 from .channels import KrausChannel, apply
 from .qmat import DensityMatrix, DimensionMismatchError, tensor
 
-_P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class ControlState:
@@ -67,12 +64,12 @@ def switch_channel(n1: KrausChannel, n2: KrausChannel) -> KrausChannel:
     if not (n1.dim_in == n1.dim_out == n2.dim_in == n2.dim_out):
         raise DimensionMismatchError("both channels must be square and equal-dimension")
     d = n1.dim_in
-    ops = tuple(
-        tensor(k2 @ k1, _P0) + tensor(k1 @ k2, _P1)
-        for k2 in n2.kraus_ops
-        for k1 in n1.kraus_ops
-    )
-    return KrausChannel(2 * d, 2 * d, ops)
+    k1, k2 = n1.stacked(), n2.stacked()
+    # operator (i, j) pairs K2_i with K1_j; axes are (x, control, y, control')
+    w = np.zeros((len(k2), len(k1), d, 2, d, 2), dtype=complex)
+    w[:, :, :, 0, :, 0] = k2[:, None] @ k1[None]
+    w[:, :, :, 1, :, 1] = k1[None] @ k2[:, None]
+    return KrausChannel(2 * d, 2 * d, w.reshape(-1, 2 * d, 2 * d))
 
 
 def switch_with_fixed_control(
@@ -86,17 +83,10 @@ def switch_with_fixed_control(
     """
     sw = switch_channel(n1, n2)
     d = n1.dim_in
-    eye = np.eye(d, dtype=complex)
-    if ctrl.coherent:
-        vecs = [np.array([np.sqrt(ctrl.p), np.sqrt(1.0 - ctrl.p)], dtype=complex)]
-    else:
-        vecs = []
-        if ctrl.p > 0:
-            vecs.append(np.array([np.sqrt(ctrl.p), 0.0], dtype=complex))
-        if ctrl.p < 1:
-            vecs.append(np.array([0.0, np.sqrt(1.0 - ctrl.p)], dtype=complex))
-    embeds = [tensor(eye, v.reshape(2, 1)) for v in vecs]
-    ops = tuple(w @ e for w in sw.kraus_ops for e in embeds)
+    amps = np.sqrt([ctrl.p, 1.0 - ctrl.p])
+    vecs = [amps] if ctrl.coherent else np.diag(amps)[amps > 0]
+    embeds = np.stack([tensor(np.eye(d), v.reshape(2, 1)) for v in vecs])
+    ops = (sw.stacked()[:, None] @ embeds).reshape(-1, 2 * d, d)
     return KrausChannel(d, 2 * d, ops)
 
 

@@ -16,3 +16,9 @@ def haar_unitary(d, seed):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_kraus(rng, n, dim_out, dim_in):
+    """n Gaussian dim_out x dim_in operators, scaled so that entries stay O(1)."""
+    shape = (n, dim_out, dim_in)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * n)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from switchcap.capacity import (
     Ensemble,
+    _transfer_matrix,
     control_entropy,
     h_min,
     holevo_analytic,
@@ -13,7 +14,7 @@ from switchcap.capacity import (
     reduced_control_state,
     switched_spectrum,
 )
-from switchcap.channels import depolarizing_channel, identity_channel
+from switchcap.channels import KrausChannel, depolarizing_channel, identity_channel
 from switchcap.qmat import DensityMatrix, Spectrum, entropy_bits, hermitian_spectrum
 from switchcap.switch import (
     ControlState,
@@ -23,7 +24,7 @@ from switchcap.switch import (
 )
 from switchcap.qmat import partial_trace
 
-from helpers import ginibre
+from helpers import ginibre, random_kraus
 
 PLUS = ControlState(0.5)
 P_GRID = (0.0, 0.2, 0.5, 0.7, 1.0)
@@ -194,6 +195,16 @@ class TestHolevoOfEnsemble:
         probs = rng.dirichlet(np.ones(m))
         ens = Ensemble(tuple(zip(map(float, probs), states)))
         assert holevo_of_ensemble(ch, ens) <= holevo_analytic(d, 0.0, ctrl).chi + 1e-12
+
+
+class TestTransferMatrix:
+    @given(st.integers(0, 300), st.integers(1, 6), st.sampled_from([(2, 2), (4, 2), (3, 5)]))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_kronecker_sum(self, seed, n, shape):
+        ops = random_kraus(np.random.default_rng(seed), n, *shape)
+        ch = KrausChannel(shape[1], shape[0], ops)
+        reference = sum(np.kron(k, k.conj()) for k in ops)
+        np.testing.assert_allclose(_transfer_matrix(ch), reference, rtol=0, atol=1e-14)
 
 
 class TestOptimizer:

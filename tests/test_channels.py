@@ -15,11 +15,49 @@ from switchcap.channels import (
 )
 from switchcap.qmat import DensityMatrix, DimensionMismatchError
 
-from helpers import ginibre, haar_unitary
+from helpers import ginibre, haar_unitary, random_kraus
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+class TestKrausChannel:
+    @given(st.integers(0, 300), st.integers(1, 5), st.sampled_from([(2, 2), (3, 2), (2, 4)]))
+    @settings(max_examples=20, deadline=None)
+    def test_tuple_and_array_give_the_same_channel(self, seed, n, shape):
+        ops = random_kraus(np.random.default_rng(seed), n, *shape)
+        a = KrausChannel(shape[1], shape[0], tuple(ops))
+        b = KrausChannel(shape[1], shape[0], ops)
+        assert np.array_equal(a.stacked(), b.stacked())
+        assert len(a.kraus_ops) == len(b.kraus_ops) == n
+        for ka, kb, k in zip(a.kraus_ops, b.kraus_ops, ops):
+            assert np.array_equal(ka, k) and np.array_equal(kb, k)
+
+    def test_stack_is_kept_read_only_without_a_copy(self):
+        ops = random_kraus(np.random.default_rng(0), 3, 2, 2)
+        ch = KrausChannel(2, 2, ops)
+        assert ch.stacked() is ch.stacked()
+        assert np.shares_memory(ch.stacked(), ops)
+        assert np.shares_memory(ch.kraus_ops[1], ops)
+        assert not ch.stacked().flags.writeable
+        assert ops.flags.writeable
+
+    @pytest.mark.parametrize("ops", [
+        (I2, np.eye(3)),
+        (np.ones((2, 3)),),
+        np.zeros((4, 2, 3)),
+        np.eye(2),
+        np.zeros((2, 2, 2, 1)),
+    ])
+    def test_bad_shape(self, ops):
+        with pytest.raises(DimensionMismatchError):
+            KrausChannel(2, 2, ops)
+
+    @pytest.mark.parametrize("ops", [(), [], np.zeros((0, 2, 2))])
+    def test_empty(self, ops):
+        with pytest.raises(ValueError, match="at least one"):
+            KrausChannel(2, 2, ops)
 
 
 class TestWeylBasis:

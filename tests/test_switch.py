@@ -22,7 +22,7 @@ from switchcap.switch import (
 )
 from switchcap.capacity import reduced_control_state
 
-from helpers import ginibre
+from helpers import ginibre, random_kraus
 
 PLUS = ControlState(0.5)
 
@@ -65,6 +65,57 @@ class TestSwitchChannel:
             check = is_cptp(switch_channel(dep, dep), 1e-10)
             assert check
             assert check.max_deviation <= 1e-12
+
+
+def pairwise_switch(n1, n2, ctrl=None):
+    """Reference: the switched operators built one Kraus pair at a time.
+
+    With ``ctrl``, each operator W is followed by W (I (x) |c>) for every
+    control component |c>, as in ``switch_with_fixed_control``.
+    """
+    d = n1.dim_in
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    ops = [tensor(k2 @ k1, p0) + tensor(k1 @ k2, p1)
+           for k2 in n2.kraus_ops for k1 in n1.kraus_ops]
+    if ctrl is None:
+        return ops
+    if ctrl.coherent:
+        vecs = [[np.sqrt(ctrl.p), np.sqrt(1.0 - ctrl.p)]]
+    else:
+        vecs = []
+        if ctrl.p > 0:
+            vecs.append([np.sqrt(ctrl.p), 0.0])
+        if ctrl.p < 1:
+            vecs.append([0.0, np.sqrt(1.0 - ctrl.p)])
+    embeds = [tensor(np.eye(d), np.reshape(v, (2, 1))) for v in vecs]
+    return [w @ e for w in ops for e in embeds]
+
+
+class TestStackedSwitch:
+    """The stacked construction equals the per-pair formula, operator by operator."""
+
+    @given(
+        st.integers(0, 300),
+        st.sampled_from([2, 3]),
+        st.sampled_from(["depolarizing", "random"]),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_pairwise_formula(self, seed, d, kind, p, coherent):
+        if kind == "depolarizing":
+            q = (seed % 5) / 4
+            n1 = n2 = depolarizing_channel(d, q)
+        else:
+            rng = np.random.default_rng(seed)
+            n1 = KrausChannel(d, d, random_kraus(rng, 1 + seed % 4, d, d))
+            n2 = KrausChannel(d, d, random_kraus(rng, 1 + seed % 3, d, d))
+        ctrl = ControlState(p, coherent=coherent)
+        # == compares numbers, so a -0.0 from the pairwise sums equals 0.0
+        assert np.array_equal(switch_channel(n1, n2).stacked(), pairwise_switch(n1, n2))
+        fixed = switch_with_fixed_control(n1, n2, ctrl)
+        assert np.array_equal(fixed.stacked(), pairwise_switch(n1, n2, ctrl))
+        assert fixed.stacked().shape[1:] == (2 * d, d)
 
 
 class TestSwitchApply:
