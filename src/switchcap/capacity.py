@@ -61,7 +61,6 @@ class OptimizerResult:
     chi: float
     trials_run: int
     refine_steps: int  # always 0: there is no local refinement
-    best_source: str  # "orthonormal" or "random"
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,6 @@ class CapacityReport:
     chi_numeric: float
     entropy_control: float
     h_min: float
-    optimizer_trials: int
-    best_source: str
 
 
 def reduced_control_state(d: int, q: float, ctrl: ControlState) -> DensityMatrix:
@@ -232,15 +229,12 @@ def optimize_ensemble(
     transfer = _transfer_matrix(ch)
     uniform = np.full(d, 1.0 / d)
     best_chi = _chi_pure(transfer, ch.dim_out, uniform, np.eye(d, dtype=complex))
-    source = "orthonormal"
 
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
         m = int(rng.integers(2, d * d + 1))
         vecs = [_random_pure_vec(rng, d) for _ in range(m)]
         probs = rng.dirichlet(np.ones(m))
-        chi = _chi_pure(transfer, ch.dim_out, probs, vecs)
-        if chi > best_chi:
-            best_chi, source = chi, "random"
+        best_chi = max(best_chi, _chi_pure(transfer, ch.dim_out, probs, vecs))
 
-    return OptimizerResult(best_chi, trials, 0, source)
+    return OptimizerResult(best_chi, trials, 0)

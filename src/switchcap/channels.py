@@ -1,9 +1,9 @@
 """Quantum channels in Kraus form.
 
 Provides the generalized-Pauli (Heisenberg-Weyl) unitary basis, the
-depolarizing family built on it, and serial/parallel composition. Kraus
-lists are kept exactly as constructed; representations are never minimized
-or canonicalized, so representation-independence stays testable.
+depolarizing family built on it, and the Kraus sum that applies a channel.
+Kraus lists are kept exactly as constructed; representations are never
+minimized or canonicalized, so representation-independence stays testable.
 """
 
 from __future__ import annotations
@@ -12,25 +12,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import DensityMatrix, DimensionMismatchError, tensor
-
-TOL_CPTP = 1e-9
+from .qmat import DensityMatrix, DimensionMismatchError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A CPTP map given by a finite list of Kraus operators.
 
     ``kraus_ops`` is a sequence of ``dim_out x dim_in`` operators or one
     ``(n, dim_out, dim_in)`` array; it is kept as one read-only stack, with
     ``kraus_ops`` a tuple of views into it. Completeness (sum K'K = I) is
-    the caller's responsibility; ``is_cptp`` checks it.
+    the caller's responsibility. Equality and hashing are by identity.
     """
 
     dim_in: int
     dim_out: int
     kraus_ops: tuple[np.ndarray, ...]
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.kraus_ops) == 0:
@@ -52,15 +50,6 @@ class KrausChannel:
         return self._stack
 
 
-@dataclass(frozen=True)
-class CptpCheck:
-    ok: bool
-    max_deviation: float
-
-    def __bool__(self):
-        return self.ok
-
-
 def weyl_basis(d: int) -> tuple[np.ndarray, ...]:
     """Generalized Pauli basis: X(i)|l> = |i+l mod d>, Z(j)|l> = w^{jl}|l>.
 
@@ -72,10 +61,6 @@ def weyl_basis(d: int) -> tuple[np.ndarray, ...]:
     shifts = [np.roll(np.eye(d, dtype=complex), i, axis=0) for i in range(d)]
     phases = [np.diag(omega ** (j * np.arange(d))) for j in range(d)]
     return tuple(shifts[i] @ phases[j] for i in range(d) for j in range(d))
-
-
-def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(d, d, (np.eye(d, dtype=complex),))
 
 
 def depolarizing_channel(d: int, q: float) -> KrausChannel:
@@ -92,14 +77,6 @@ def depolarizing_channel(d: int, q: float) -> KrausChannel:
     return KrausChannel(d, d, tuple(ops))
 
 
-def dephasing_channel(d: int) -> KrausChannel:
-    """Full dephasing in the computational basis; all Kraus operators commute."""
-    projectors = tuple(
-        np.outer(np.eye(d, dtype=complex)[k], np.eye(d)[k]) for k in range(d)
-    )
-    return KrausChannel(d, d, projectors)
-
-
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """sum_i K_i rho K_i'."""
     if rho.dim != ch.dim_in:
@@ -109,27 +86,3 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     k = ch.stacked()
     out = np.einsum("nij,jk,nlk->il", k, rho.matrix, k.conj())
     return DensityMatrix(out)
-
-
-def is_cptp(ch: KrausChannel, tol: float = TOL_CPTP) -> CptpCheck:
-    """Check completeness: max-norm deviation of sum K'K from the identity."""
-    k = ch.stacked()
-    total = np.einsum("nji,njk->ik", k.conj(), k)
-    dev = float(np.abs(total - np.eye(ch.dim_in)).max())
-    return CptpCheck(dev <= tol, dev)
-
-
-def compose_serial(first: KrausChannel, second: KrausChannel) -> KrausChannel:
-    """second after first; Kraus set is all products K2 K1."""
-    if second.dim_in != first.dim_out:
-        raise DimensionMismatchError(
-            f"serial mismatch: {first.dim_out} -> {second.dim_in}"
-        )
-    ops = tuple(k2 @ k1 for k2 in second.kraus_ops for k1 in first.kraus_ops)
-    return KrausChannel(first.dim_in, second.dim_out, ops)
-
-
-def compose_parallel(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    """Side-by-side action; Kraus set is all tensors Ka x Kb."""
-    ops = tuple(tensor(ka, kb) for ka in a.kraus_ops for kb in b.kraus_ops)
-    return KrausChannel(a.dim_in * b.dim_in, a.dim_out * b.dim_out, ops)

@@ -31,8 +31,6 @@ class SweepConfig:
     p_values: tuple[float, ...] = (0.5,)
     optimizer_trials: int = 200
     seed: int = 0
-    output_path: str | None = None
-    format: str = "csv"
 
     def __post_init__(self):
         if not (self.dims and self.q_values and self.p_values):
@@ -48,10 +46,10 @@ class SweepConfig:
                 )
         if self.optimizer_trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if any(not 0.0 <= v <= 1.0 for v in self.q_values + self.p_values):
             raise ValueError("q and p values must lie in [0, 1]")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 def run_sweep(cfg: SweepConfig) -> list[capacity.CapacityReport]:
@@ -80,8 +78,6 @@ def run_sweep(cfg: SweepConfig) -> list[capacity.CapacityReport]:
                         chi_numeric=result.chi,
                         entropy_control=hc,
                         h_min=hm,
-                        optimizer_trials=result.trials_run,
-                        best_source=result.best_source,
                     )
                 )
     return rows
@@ -169,14 +165,12 @@ def main(argv=None) -> int:
                 p_values=args.p,
                 optimizer_trials=args.trials,
                 seed=args.seed,
-                output_path=args.out,
-                format=args.format,
             )
         except ValueError as exc:
             parser.error(str(exc))  # exits 2
         rows = run_sweep(cfg)
-        text = render_csv(rows) if cfg.format == "csv" else render_json(rows)
-        path, status = cfg.output_path, 0
+        text = render_csv(rows) if args.format == "csv" else render_json(rows)
+        status = 0
     else:  # verify
         if not (math.isfinite(args.tol) and args.tol >= 0):
             parser.error(f"tolerance must be finite and >= 0, got {args.tol}")
@@ -185,11 +179,10 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         text = (report.to_json() if args.as_json else str(report)) + "\n"
-        path = args.out
         status = 0 if report.max_abs_deviation <= args.tol else 1
 
     try:
-        _write(text, path)
+        _write(text, args.out)
     except OSError as exc:
         parser.error(str(exc))  # exits 2
     return status

@@ -87,12 +87,12 @@ def _switch_kraus(d: int, q: float) -> np.ndarray:
 
 def brute_force_switch_output(
     d: int, q: float, ctrl: ControlState, rho: DensityMatrix
-) -> switch.JointState:
+) -> DensityMatrix:
     """Sum of W sigma W' over all (d^2+1)^2 Kraus pairs of the switched channel."""
     sigma = tensor(rho.matrix, ctrl.density())
     w = _switch_kraus(d, q)
     out = (w @ sigma @ w.conj().transpose(0, 2, 1)).sum(0)
-    return switch.JointState(d, DensityMatrix(out))
+    return DensityMatrix(out)
 
 
 def reference_constants(dps: int = 50) -> dict[str, float]:
@@ -125,7 +125,7 @@ def _analytic_vs_brute():
                     rho = random_density_matrix(d, seed)
                     brute = brute_force_switch_output(d, q, ctrl, rho)
                     analytic = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
-                    dev = float(np.abs(brute.state.matrix - analytic.state.matrix).max())
+                    dev = float(np.abs(brute.matrix - analytic.matrix).max())
                     yield dev, dict(d=d, q=q, p=p, seed=seed)
 
 
@@ -138,8 +138,8 @@ def _spectrum_vs_eigensolver():
                     rho = random_density_matrix(d, seed)
                     rho_spec = hermitian_spectrum(rho.matrix)
                     predicted = capacity.switched_spectrum(d, q, ctrl, rho_spec)
-                    js = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
-                    solved = hermitian_spectrum(js.state.matrix)
+                    out = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
+                    solved = hermitian_spectrum(out.matrix)
                     diff = np.subtract(predicted.eigenvalues, solved.eigenvalues)
                     dev = float(np.abs(diff).max())
                     yield dev, dict(d=d, q=q, p=p, seed=seed)
@@ -163,9 +163,9 @@ def _marginals():
         control_ref = capacity.reduced_control_state(d, 0.0, ctrl).matrix
         for seed in range(10):
             rho = random_density_matrix(d, seed)
-            js = brute_force_switch_output(d, 0.0, ctrl, rho)
-            tmarg = partial_trace(js.state, d, 2, "A")
-            cmarg = partial_trace(js.state, d, 2, "B")
+            out = brute_force_switch_output(d, 0.0, ctrl, rho)
+            tmarg = partial_trace(out, d, 2, "A")
+            cmarg = partial_trace(out, d, 2, "B")
             dev = max(
                 float(np.abs(tmarg.matrix - target_ref).max()),
                 float(np.abs(cmarg.matrix - control_ref).max()),

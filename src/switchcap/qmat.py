@@ -15,7 +15,6 @@ import numpy as np
 TOL_HERM = 1e-9
 TOL_TRACE = 1e-9
 TOL_PSD = 1e-9
-TOL_EIG = 1e-10
 
 
 class DimensionMismatchError(ValueError):
@@ -30,12 +29,13 @@ def _as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Unit-trace positive-semidefinite Hermitian matrix.
 
     Validation happens at construction: Hermiticity within ``TOL_HERM``,
     unit trace within ``TOL_TRACE``, and eigenvalues >= -``TOL_PSD``.
+    Equality and hashing are by identity, since an array has no truth value.
     """
 
     matrix: np.ndarray
@@ -122,8 +122,3 @@ def entropy_bits(eigenvalues) -> float:
     pos = lam[lam > 0]
     # + 0.0 normalizes the -0.0 produced by an empty/pure spectrum
     return float(-(pos * np.log2(pos)).sum()) + 0.0
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy of a density matrix in bits."""
-    return entropy_bits(np.linalg.eigvalsh(rho.matrix))

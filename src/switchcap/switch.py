@@ -38,27 +38,6 @@ class ControlState:
         return rho
 
 
-@dataclass(frozen=True)
-class JointState:
-    """State on the 2d-dimensional target (x) control space."""
-
-    d: int
-    state: DensityMatrix
-
-    def __post_init__(self):
-        if self.state.dim != 2 * self.d:
-            raise DimensionMismatchError(
-                f"joint dimension {self.state.dim} != 2 * {self.d}"
-            )
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    probability: float
-    unnormalized: np.ndarray
-    state: DensityMatrix
-
-
 def switch_channel(n1: KrausChannel, n2: KrausChannel) -> KrausChannel:
     """Kraus operators K2_i K1_j (x) |0><0| + K1_j K2_i (x) |1><1|."""
     if not (n1.dim_in == n1.dim_out == n2.dim_in == n2.dim_out):
@@ -92,18 +71,18 @@ def switch_with_fixed_control(
 
 def switch_apply(
     n1: KrausChannel, n2: KrausChannel, rho: DensityMatrix, ctrl: ControlState
-) -> JointState:
-    """Sum over all Kraus pairs applied to rho (x) rho_c."""
+) -> DensityMatrix:
+    """Sum over all Kraus pairs applied to rho (x) rho_c, on target (x) control."""
     d = n1.dim_in
     if rho.dim != d:
         raise DimensionMismatchError(f"state dimension {rho.dim} != channel {d}")
     sigma = DensityMatrix(tensor(rho.matrix, ctrl.density()))
-    return JointState(d, apply(switch_channel(n1, n2), sigma))
+    return apply(switch_channel(n1, n2), sigma)
 
 
 def switched_depolarizing_analytic(
     d: int, q: float, ctrl: ControlState, rho: DensityMatrix
-) -> JointState:
+) -> DensityMatrix:
     """Closed-form SWITCH output for two noise-q depolarizing channels.
 
     (1-q)^2 [ I/d (x) diag(p, 1-p) + sqrt(p(1-p)) rho/d^2 (x) offdiag ]
@@ -127,32 +106,4 @@ def switched_depolarizing_analytic(
     )
     out += 2.0 * q * (1.0 - q) * tensor(eye / d, rho_c)
     out += q**2 * tensor(rho.matrix, rho_c)
-    return JointState(d, DensityMatrix(out))
-
-
-def fourier_measure_control(js: JointState):
-    """Measure the control in {|+>, |->}; returns the two outcomes.
-
-    Each outcome carries the unnormalized conditional operator <x|.|x> on
-    the target, its probability (trace), and the normalized state.
-    Normalizing divides round-off by the probability, so the state is built
-    from the Hermitian part of the conditional operator with its slightly
-    negative eigenvalues set to zero.
-    """
-    d = js.d
-    outcomes = []
-    for sign in (+1.0, -1.0):
-        v = np.array([1.0, sign], dtype=complex) / np.sqrt(2.0)
-        proj = tensor(np.eye(d, dtype=complex), v.reshape(1, 2))
-        cond = proj @ js.state.matrix @ proj.conj().T
-        prob = float(cond.trace().real)
-        if prob > 1e-14:
-            lam, vecs = np.linalg.eigh((cond + cond.conj().T) / 2.0)
-            lam = np.clip(lam, 0.0, None)
-            normalized = DensityMatrix((vecs * (lam / lam.sum())) @ vecs.conj().T)
-        else:
-            # zero-probability branch: conditional state is conventionally
-            # the maximally mixed one
-            normalized = DensityMatrix(np.eye(d, dtype=complex) / d)
-        outcomes.append(MeasurementOutcome(prob, cond, normalized))
-    return outcomes
+    return DensityMatrix(out)

@@ -1,10 +1,12 @@
-"""Shared random-instance generators and suite runs for the test suite."""
+"""Shared random instances, channel fixtures and suite runs for the test suite."""
 
 import functools
 
 import numpy as np
 
+from switchcap.channels import KrausChannel
 from switchcap.oracle import random_density_matrix as ginibre, verify_equivalence
+from switchcap.qmat import DimensionMismatchError
 
 # A suite's report is immutable and its grid fixed, so the tests that assert
 # on the same suite share one run of it.
@@ -22,3 +24,30 @@ def random_kraus(rng, n, dim_out, dim_in):
     """n Gaussian dim_out x dim_in operators, scaled so that entries stay O(1)."""
     shape = (n, dim_out, dim_in)
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * n)
+
+
+def identity_channel(d):
+    return KrausChannel(d, d, (np.eye(d, dtype=complex),))
+
+
+def dephasing_channel(d):
+    """Full dephasing in the computational basis; all Kraus operators commute."""
+    projectors = tuple(
+        np.outer(np.eye(d, dtype=complex)[k], np.eye(d)[k]) for k in range(d)
+    )
+    return KrausChannel(d, d, projectors)
+
+
+def compose_serial(first, second):
+    """second after first; Kraus set is all products K2 K1."""
+    if second.dim_in != first.dim_out:
+        raise DimensionMismatchError(f"serial mismatch: {first.dim_out} -> {second.dim_in}")
+    ops = tuple(k2 @ k1 for k2 in second.kraus_ops for k1 in first.kraus_ops)
+    return KrausChannel(first.dim_in, second.dim_out, ops)
+
+
+def cptp_deviation(ch):
+    """Max-entry deviation of sum K'K from the identity; 0 for a CPTP channel."""
+    k = ch.stacked()
+    total = np.einsum("nji,njk->ik", k.conj(), k)
+    return float(np.abs(total - np.eye(ch.dim_in)).max())

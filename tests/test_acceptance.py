@@ -11,13 +11,7 @@ from switchcap.capacity import (
     holevo_of_ensemble,
     optimize_ensemble,
 )
-from switchcap.channels import (
-    KrausChannel,
-    compose_serial,
-    dephasing_channel,
-    depolarizing_channel,
-    apply,
-)
+from switchcap.channels import KrausChannel, apply, depolarizing_channel
 from switchcap.cli import main
 from switchcap.oracle import random_density_matrix
 from switchcap.qmat import DensityMatrix, tensor
@@ -28,7 +22,7 @@ from switchcap.switch import (
     switch_with_fixed_control,
 )
 
-from helpers import suite_report
+from helpers import compose_serial, cptp_deviation, dephasing_channel, suite_report
 
 PLUS = ControlState(0.5)
 
@@ -110,7 +104,7 @@ def test_criterion_7_commuting_kraus_null():
                 rho = random_density_matrix(d, seed)
                 js = switch_apply(n, n, rho, ctrl)
                 expected = tensor(apply(serial, rho).matrix, ctrl.density())
-                worst = max(worst, float(np.abs(js.state.matrix - expected).max()))
+                worst = max(worst, float(np.abs(js.matrix - expected).max()))
     report("7 commuting Kraus: no self-switching", worst <= 1e-10, f"max dev {worst:.2e}")
 
 
@@ -120,9 +114,7 @@ def test_criterion_8_structural_suite():
     for d in (2, 3, 4):
         for q in (0.0, 0.5, 1.0):
             dep = depolarizing_channel(d, q)
-            k = switch_channel(dep, dep).stacked()
-            total = np.einsum("nji,njk->ik", k.conj(), k)
-            cptp_dev = max(cptp_dev, float(np.abs(total - np.eye(2 * d)).max()))
+            cptp_dev = max(cptp_dev, cptp_deviation(switch_channel(dep, dep)))
 
     # marginal laws at q=0
     marginals = suite_report("marginals")
@@ -140,8 +132,8 @@ def test_criterion_8_structural_suite():
             2, 2, tuple(sum(v[i, j] * dep.kraus_ops[j] for j in range(nops)) for i in range(nops))
         )
         rho = random_density_matrix(2, seed)
-        a = switch_apply(dep, dep, rho, PLUS).state.matrix
-        b = switch_apply(mixed, mixed, rho, PLUS).state.matrix
+        a = switch_apply(dep, dep, rho, PLUS).matrix
+        b = switch_apply(mixed, mixed, rho, PLUS).matrix
         rep_dev = max(rep_dev, float(np.abs(a - b).max()))
 
     # spectrum formula vs generic eigensolver

@@ -14,7 +14,7 @@ from switchcap.capacity import (
     reduced_control_state,
     switched_spectrum,
 )
-from switchcap.channels import KrausChannel, depolarizing_channel, identity_channel
+from switchcap.channels import KrausChannel, depolarizing_channel
 from switchcap.qmat import DensityMatrix, Spectrum, entropy_bits, hermitian_spectrum
 from switchcap.switch import (
     ControlState,
@@ -24,7 +24,7 @@ from switchcap.switch import (
 )
 from switchcap.qmat import partial_trace
 
-from helpers import ginibre, random_kraus
+from helpers import ginibre, identity_channel, random_kraus
 
 PLUS = ControlState(0.5)
 P_GRID = (0.0, 0.2, 0.5, 0.7, 1.0)
@@ -60,7 +60,7 @@ class TestReducedControlState:
     def test_matches_partial_trace(self, seed, d, q):
         dep = depolarizing_channel(d, q)
         js = switch_apply(dep, dep, ginibre(d, seed), PLUS)
-        marg = partial_trace(js.state, d, 2, "B")
+        marg = partial_trace(js, d, 2, "B")
         np.testing.assert_allclose(
             marg.matrix, reduced_control_state(d, q, PLUS).matrix, atol=1e-10
         )
@@ -98,7 +98,7 @@ class TestSwitchedSpectrum:
         ctrl = ControlState(p)
         predicted = switched_spectrum(d, q, ctrl, hermitian_spectrum(rho.matrix))
         js = switched_depolarizing_analytic(d, q, ctrl, rho)
-        solved = hermitian_spectrum(js.state.matrix)
+        solved = hermitian_spectrum(js.matrix)
         np.testing.assert_allclose(
             np.array(predicted.eigenvalues), np.array(solved.eigenvalues), atol=1e-10
         )

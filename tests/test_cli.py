@@ -114,6 +114,20 @@ class TestSweep:
         assert "trials must be >= 1" in err
         assert "Traceback" not in err
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(max_value=-1))
+    def test_negative_seed_property(self, seed):
+        code, err = usage_error(["sweep", "--dims", "2", "--q", "0", f"--seed={seed}"])
+        assert code == 2
+        assert "seed must be >= 0" in err
+        assert "Traceback" not in err
+
+    def test_unknown_format_usage_error(self):
+        code, err = usage_error(["sweep", "--dims", "2", "--q", "0", "--format", "xml"])
+        assert code == 2
+        assert "argument --format: invalid choice" in err
+        assert "Traceback" not in err
+
     def test_oversized_dimension_usage_error(self, capsys):
         SweepConfig(dims=tuple(range(2, 17)), q_values=(0.0,))
         start = time.perf_counter()
@@ -185,5 +199,3 @@ class TestRendering:
             SweepConfig(dims=(), q_values=(0.0,))
         with pytest.raises(ValueError):
             SweepConfig(dims=(2,), q_values=(2.0,))
-        with pytest.raises(ValueError):
-            SweepConfig(dims=(2,), q_values=(0.0,), format="xml")

@@ -40,7 +40,7 @@ class TestBruteForce:
     def test_q0_block_structure(self):
         d = 2
         rho = random_density_matrix(d, 0)
-        out = brute_force_switch_output(d, 0.0, PLUS, rho).state.matrix
+        out = brute_force_switch_output(d, 0.0, PLUS, rho).matrix
         r = out.reshape(d, 2, d, 2)
         for ti in range(d):
             for tj in range(d):
@@ -54,7 +54,7 @@ class TestBruteForce:
         rho = random_density_matrix(3, 5)
         out = brute_force_switch_output(3, 1.0, PLUS, rho)
         np.testing.assert_allclose(
-            out.state.matrix, tensor(rho.matrix, PLUS.density()), atol=1e-12
+            out.matrix, tensor(rho.matrix, PLUS.density()), atol=1e-12
         )
 
 

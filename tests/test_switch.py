@@ -2,19 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchcap.channels import (
-    KrausChannel,
-    apply,
-    compose_serial,
-    dephasing_channel,
-    depolarizing_channel,
-    identity_channel,
-    is_cptp,
-)
+from switchcap.channels import KrausChannel, apply, depolarizing_channel
 from switchcap.qmat import DensityMatrix, partial_trace, tensor
 from switchcap.switch import (
     ControlState,
-    fourier_measure_control,
     switch_apply,
     switch_channel,
     switch_with_fixed_control,
@@ -22,7 +13,14 @@ from switchcap.switch import (
 )
 from switchcap.capacity import reduced_control_state
 
-from helpers import ginibre, random_kraus
+from helpers import (
+    compose_serial,
+    cptp_deviation,
+    dephasing_channel,
+    ginibre,
+    identity_channel,
+    random_kraus,
+)
 
 PLUS = ControlState(0.5)
 
@@ -46,7 +44,7 @@ class TestSwitchChannel:
         js = switch_apply(n1, n2, rho, ControlState(1.0))
         serial = apply(compose_serial(n1, n2), rho)
         expected = tensor(serial.matrix, np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(js.state.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(js.matrix, expected, atol=1e-12)
 
     def test_commuting_kraus_no_self_switching(self):
         # two identical dephasing channels: output factorizes for any control
@@ -57,14 +55,12 @@ class TestSwitchChannel:
             js = switch_apply(n, n, rho, ctrl)
             serial = apply(compose_serial(n, n), rho)
             expected = tensor(serial.matrix, ctrl.density())
-            np.testing.assert_allclose(js.state.matrix, expected, atol=1e-10)
+            np.testing.assert_allclose(js.matrix, expected, atol=1e-10)
 
     def test_trace_preserving(self):
         for d, q in ((2, 0.0), (3, 0.4)):
             dep = depolarizing_channel(d, q)
-            check = is_cptp(switch_channel(dep, dep), 1e-10)
-            assert check
-            assert check.max_deviation <= 1e-12
+            assert cptp_deviation(switch_channel(dep, dep)) <= 1e-12
 
 
 def pairwise_switch(n1, n2, ctrl=None):
@@ -124,14 +120,14 @@ class TestSwitchApply:
         rho = ginibre(2, 1)
         js = switch_apply(dep, dep, rho, PLUS)
         expected = tensor(rho.matrix, PLUS.density())
-        np.testing.assert_allclose(js.state.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(js.matrix, expected, atol=1e-12)
 
     def test_matches_analytic_at_q0(self):
         dep = depolarizing_channel(2, 0.0)
         rho = DensityMatrix(np.diag([1.0, 0.0]))
         js = switch_apply(dep, dep, rho, PLUS)
         ref = switched_depolarizing_analytic(2, 0.0, PLUS, rho)
-        np.testing.assert_allclose(js.state.matrix, ref.state.matrix, atol=1e-10)
+        np.testing.assert_allclose(js.matrix, ref.matrix, atol=1e-10)
 
     def test_dephased_control_erases_input(self):
         dep = depolarizing_channel(3, 0.0)
@@ -139,7 +135,7 @@ class TestSwitchApply:
             for seed in (0, 1):
                 js = switch_apply(dep, dep, ginibre(3, seed), dephased(p))
                 expected = tensor(np.eye(3) / 3, np.diag([p, 1.0 - p]))
-                np.testing.assert_allclose(js.state.matrix, expected, atol=1e-12)
+                np.testing.assert_allclose(js.matrix, expected, atol=1e-12)
 
     @given(st.integers(0, 200))
     @settings(max_examples=15, deadline=None)
@@ -155,15 +151,15 @@ class TestSwitchApply:
         )
         mixed = KrausChannel(2, 2, mixed_ops)
         rho = ginibre(2, seed + 1)
-        a = switch_apply(dep, dep, rho, PLUS).state.matrix
-        b = switch_apply(mixed, mixed, rho, PLUS).state.matrix
+        a = switch_apply(dep, dep, rho, PLUS).matrix
+        b = switch_apply(mixed, mixed, rho, PLUS).matrix
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_swap_of_identical_channels_is_symmetric(self):
         dep = depolarizing_channel(2, 0.4)
         rho = ginibre(2, 5)
-        a = switch_apply(dep, dep, rho, ControlState(0.3)).state.matrix
-        b = switch_apply(dep, dep, rho, ControlState(0.7)).state.matrix
+        a = switch_apply(dep, dep, rho, ControlState(0.3)).matrix
+        b = switch_apply(dep, dep, rho, ControlState(0.7)).matrix
         # swapping the control labels = conjugating the control by sigma_x
         sx = tensor(np.eye(2), np.array([[0, 1], [1, 0]]))
         np.testing.assert_allclose(a, sx @ b @ sx, atol=1e-10)
@@ -173,7 +169,7 @@ class TestAnalyticForm:
     def test_q0_block_structure(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]))
         js = switched_depolarizing_analytic(2, 0.0, PLUS, rho)
-        m = js.state.matrix
+        m = js.matrix
         d = 2
         # control-diagonal blocks I/(2d), control-off-diagonal blocks rho/(2d^2)
         for ti in range(d):
@@ -187,14 +183,14 @@ class TestAnalyticForm:
         rho = ginibre(3, 2)
         js = switched_depolarizing_analytic(3, 1.0, PLUS, rho)
         np.testing.assert_allclose(
-            js.state.matrix, tensor(rho.matrix, PLUS.density()), atol=1e-12
+            js.matrix, tensor(rho.matrix, PLUS.density()), atol=1e-12
         )
 
     def test_p0_has_no_control_coherence(self):
         rho = ginibre(2, 8)
         ctrl = ControlState(0.0)
         js = switched_depolarizing_analytic(2, 0.6, ctrl, rho)
-        m = js.state.matrix.reshape(2, 2, 2, 2)
+        m = js.matrix.reshape(2, 2, 2, 2)
         np.testing.assert_allclose(m[:, 0, :, 1], 0.0, atol=1e-12)
         np.testing.assert_allclose(m[:, 1, :, 0], 0.0, atol=1e-12)
 
@@ -206,9 +202,9 @@ class TestAnalyticForm:
         for seed in range(5):
             rho = ginibre(3, seed)
             js = switched_depolarizing_analytic(3, 0.0, PLUS, rho)
-            tmarg = partial_trace(js.state, 3, 2, "A")
+            tmarg = partial_trace(js, 3, 2, "A")
             np.testing.assert_allclose(tmarg.matrix, np.eye(3) / 3, atol=1e-10)
-            cmarg = partial_trace(js.state, 3, 2, "B")
+            cmarg = partial_trace(js, 3, 2, "B")
             np.testing.assert_allclose(
                 cmarg.matrix,
                 reduced_control_state(3, 0.0, PLUS).matrix,
@@ -216,70 +212,11 @@ class TestAnalyticForm:
             )
 
 
-class TestFourierMeasurement:
-    def test_balanced_conditionals(self):
-        d = 2
-        rho = ginibre(d, 4)
-        dep = depolarizing_channel(d, 0.0)
-        js = switch_apply(dep, dep, rho, PLUS)
-        plus, minus = fourier_measure_control(js)
-        np.testing.assert_allclose(
-            plus.unnormalized, np.eye(d) / (2 * d) + rho.matrix / (2 * d**2), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            minus.unnormalized, np.eye(d) / (2 * d) - rho.matrix / (2 * d**2), atol=1e-12
-        )
-
-    def test_p1_conditionals_carry_nothing(self):
-        dep = depolarizing_channel(2, 0.0)
-        js = switch_apply(dep, dep, ginibre(2, 6), ControlState(1.0))
-        for outcome in fourier_measure_control(js):
-            np.testing.assert_allclose(outcome.unnormalized, np.eye(2) / 4, atol=1e-12)
-
-    @given(st.integers(0, 300))
-    @settings(max_examples=20, deadline=None)
-    def test_probabilities_sum_to_one(self, seed):
-        dep = depolarizing_channel(2, (seed % 5) / 4)
-        js = switch_apply(dep, dep, ginibre(2, seed), ControlState((seed % 7) / 6))
-        probs = [o.probability for o in fourier_measure_control(js)]
-        assert abs(sum(probs) - 1.0) <= 1e-12
-
-    def test_near_balanced_control_regression(self):
-        # q = 1 leaves one outcome with probability ~10^-2k; normalizing its
-        # conditional operator magnifies round-off past the state tolerances.
-        for k in range(1, 17):
-            ctrl = ControlState(0.5 + 10.0**-k)
-            for seed in range(10):
-                js = switched_depolarizing_analytic(3, 1.0, ctrl, ginibre(3, seed))
-                probs = [o.probability for o in fourier_measure_control(js)]
-                assert abs(sum(probs) - 1.0) <= 1e-12
-
-    @given(
-        st.integers(0, 300),
-        st.sampled_from([2, 3, 4]),
-        st.sampled_from([0.0, 0.5, 1.0 - 1e-6, 1.0]),
-        st.integers(1, 16),
-        st.sampled_from([-1.0, 1.0]),
-        st.booleans(),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_outcomes_are_states(self, seed, d, q, k, sign, pure):
-        rho = ginibre(d, seed)
-        if pure:
-            _, v = np.linalg.eigh(rho.matrix)
-            rho = DensityMatrix(np.outer(v[:, -1], v[:, -1].conj()))
-        ctrl = ControlState(0.5 + sign * 10.0**-k)
-        outcomes = fourier_measure_control(switched_depolarizing_analytic(d, q, ctrl, rho))
-        assert abs(sum(o.probability for o in outcomes) - 1.0) <= 1e-12
-        for o in outcomes:
-            assert isinstance(o.state, DensityMatrix) and o.state.dim == d
-
-
 class TestFixedControlEmbedding:
     def test_is_cptp(self):
         dep = depolarizing_channel(2, 0.3)
         for ctrl in (PLUS, ControlState(0.2), dephased(0.4)):
-            assert is_cptp(switch_with_fixed_control(dep, dep, ctrl), 1e-10)
+            assert cptp_deviation(switch_with_fixed_control(dep, dep, ctrl)) <= 1e-10
 
     def test_agrees_with_switch_apply(self):
         dep = depolarizing_channel(3, 0.25)
@@ -288,5 +225,5 @@ class TestFixedControlEmbedding:
             via_embed = apply(switch_with_fixed_control(dep, dep, ctrl), rho)
             direct = switch_apply(dep, dep, rho, ctrl)
             np.testing.assert_allclose(
-                via_embed.matrix, direct.state.matrix, atol=1e-10
+                via_embed.matrix, direct.matrix, atol=1e-10
             )
