@@ -148,20 +148,12 @@ def holevo_analytic(d: int, q: float, ctrl: ControlState) -> AnalyticCapacity:
     return AnalyticCapacity(np.log2(d) + hc - hm, hc, hm)
 
 
-def _holevo(probs, inputs, output, dim_out: int) -> float:
-    """H(sum_x p_x out_x) - sum_x p_x H(out_x), with out_x = output(inputs[x]).
-
-    ``output`` is not called for zero-weight entries.
-    """
-    avg = np.zeros((dim_out, dim_out), dtype=complex)
-    cond = 0.0
-    for p, x in zip(probs, inputs):
-        if p == 0.0:
-            continue
-        out = output(x)
-        avg += p * out
-        cond += p * entropy_bits(np.linalg.eigvalsh(out))
-    return entropy_bits(np.linalg.eigvalsh(avg)) - cond
+def _holevo(probs: np.ndarray, outputs: np.ndarray) -> float:
+    """H(sum_x p_x out_x) - sum_x p_x H(out_x) for an (m, n, n) output stack;
+    the average joins the stack for one ``eigvalsh`` and one entropy call."""
+    avg = (probs[:, None, None] * outputs).sum(axis=0)
+    h = entropy_bits(np.linalg.eigvalsh(np.concatenate((outputs, avg[None]))))
+    return float(h[-1] - probs @ h[:-1])
 
 
 def holevo_of_ensemble(ch: KrausChannel, ens: Ensemble) -> float:
@@ -170,8 +162,9 @@ def holevo_of_ensemble(ch: KrausChannel, ens: Ensemble) -> float:
         raise DimensionMismatchError(
             f"ensemble dimension {ens.dim} != channel input {ch.dim_in}"
         )
-    probs, states = zip(*ens.entries)
-    return _holevo(probs, states, lambda rho: apply(ch, rho).matrix, ch.dim_out)
+    probs, states = zip(*((p, rho) for p, rho in ens.entries if p != 0.0))
+    outputs = np.stack([apply(ch, rho).matrix for rho in states])
+    return _holevo(np.array(probs), outputs)
 
 
 def orthonormal_ensemble(d: int) -> Ensemble:
@@ -180,11 +173,6 @@ def orthonormal_ensemble(d: int) -> Ensemble:
     return Ensemble(
         tuple((1.0 / d, DensityMatrix(np.outer(eye[i], eye[i]))) for i in range(d))
     )
-
-
-def _random_pure_vec(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
 
 
 def _transfer_matrix(ch: KrausChannel) -> np.ndarray:
@@ -204,13 +192,14 @@ def _transfer_matrix(ch: KrausChannel) -> np.ndarray:
 def _chi_pure(transfer: np.ndarray, dim_out: int, probs, vecs) -> float:
     """Holevo quantity of a pure-state ensemble via the transfer matrix.
 
-    ``probs`` must be a distribution and every vector must have unit norm.
+    ``vecs`` is an (m, d) array of unit vectors and ``probs`` an array of m
+    weights summing to 1; zero-weight vectors are dropped.
     """
-
-    def output(v):
-        return (transfer @ np.outer(v, v.conj()).reshape(-1)).reshape(dim_out, dim_out)
-
-    return _holevo(probs, vecs, output, dim_out)
+    keep = probs != 0.0
+    vecs = vecs[keep]
+    projectors = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(len(vecs), -1)
+    outputs = (projectors @ transfer.T).reshape(-1, dim_out, dim_out)
+    return _holevo(probs[keep], outputs)
 
 
 def optimize_ensemble(
@@ -220,8 +209,9 @@ def optimize_ensemble(
 
     Each random ensemble has up to d^2 pure states and Dirichlet weights,
     drawn from its own (seed, trial) stream, so the result is deterministic
-    in ``seed``. For a covariant channel the orthonormal ensemble already
-    attains chi; the random restarts are a check that nothing beats it.
+    in ``seed``; each is evaluated as one stack. For a covariant channel the
+    orthonormal ensemble already attains chi; the random restarts are a
+    check that nothing beats it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -233,7 +223,10 @@ def optimize_ensemble(
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
         m = int(rng.integers(2, d * d + 1))
-        vecs = [_random_pure_vec(rng, d) for _ in range(m)]
+        # each vector takes d real parts, then d imaginary parts, from the stream
+        re_im = rng.standard_normal((m, 2, d))
+        vecs = re_im[:, 0] + 1j * re_im[:, 1]
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         probs = rng.dirichlet(np.ones(m))
         best_chi = max(best_chi, _chi_pure(transfer, ch.dim_out, probs, vecs))
 

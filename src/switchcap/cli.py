@@ -33,6 +33,9 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # sorted and unique: a repeated grid value would repeat its rows
+        for name in ("dims", "q_values", "p_values"):
+            object.__setattr__(self, name, tuple(sorted(set(getattr(self, name)))))
         if not (self.dims and self.q_values and self.p_values):
             raise ValueError("dims, q and p lists must be nonempty")
         if any(d < 2 for d in self.dims):
@@ -59,9 +62,9 @@ def run_sweep(cfg: SweepConfig) -> list[capacity.CapacityReport]:
     control weight; the numeric column comes from the ensemble optimizer.
     """
     rows = []
-    for d in sorted(cfg.dims):
-        for q in sorted(cfg.q_values):
-            for p in sorted(cfg.p_values):
+    for d in cfg.dims:
+        for q in cfg.q_values:
+            for p in cfg.p_values:
                 ctrl = ControlState(p)
                 dep = depolarizing_channel(d, q)
                 ch = switch_with_fixed_control(dep, dep, ctrl)

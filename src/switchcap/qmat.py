@@ -77,8 +77,10 @@ class Spectrum:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product; the left factor is the slower-varying index block."""
-    return np.kron(_as_complex(a), _as_complex(b))
+    """Kronecker product of two matrices; the left factor is the slow index block."""
+    a, b = _as_complex(a), _as_complex(b)
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def partial_trace(m: DensityMatrix, dim_a: int, dim_b: int, keep: str) -> DensityMatrix:
@@ -109,16 +111,17 @@ def hermitian_spectrum(m) -> Spectrum:
     return Spectrum(tuple(np.linalg.eigvalsh(m)[::-1]))
 
 
-def entropy_bits(eigenvalues) -> float:
+def entropy_bits(eigenvalues) -> float | np.ndarray:
     """Shannon entropy (bits) of a spectrum, with 0 log 0 := 0.
 
-    Eigenvalues in [-TOL_PSD, 0) are clipped to 0 before the log; anything
-    more negative signals an invalid state.
+    A stack gives one entropy per spectrum along its last axis, a 1-D
+    spectrum a float. Eigenvalues in [-TOL_PSD, 0) are clipped to 0 before
+    the log; anything more negative, in any spectrum, is an invalid state.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.size and lam.min() < -TOL_PSD:
         raise InvalidStateError(f"eigenvalue {lam.min():.3e} below -{TOL_PSD}")
-    lam = np.clip(lam, 0.0, None)
-    pos = lam[lam > 0]
-    # + 0.0 normalizes the -0.0 produced by an empty/pure spectrum
-    return float(-(pos * np.log2(pos)).sum()) + 0.0
+    # a clipped eigenvalue becomes 1, whose term is 0; + 0.0 turns -0.0 into 0.0
+    pos = np.where(lam > 0, lam, 1.0)
+    h = -(pos * np.log2(pos)).sum(axis=-1) + 0.0
+    return float(h) if lam.ndim == 1 else h

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from switchcap.capacity import (
     Ensemble,
+    _chi_pure,
     _transfer_matrix,
     control_entropy,
     h_min,
@@ -36,6 +37,56 @@ HC_D2_Q0 = 0.954434002925
 HC_D3_Q0 = 0.991076059838
 HMIN_D2_Q0 = 1.905639062230
 HMIN_D3_Q0 = 2.557727778738
+
+
+def random_channel(seed, n, d):
+    """A CPTP map from n Gaussian Kraus operators K, each replaced by K S^(-1/2)
+    with S = sum K'K, so that the Kraus sum preserves the trace."""
+    ops = random_kraus(np.random.default_rng(seed), n, d, d)
+    w, u = np.linalg.eigh(np.einsum("nji,njk->ik", ops.conj(), ops))
+    return KrausChannel(d, d, ops @ (u / np.sqrt(w)) @ u.conj().T)
+
+
+def fourier_dephased(ch):
+    """``ch`` after complete dephasing in the Fourier basis, which sends every
+    computational basis state to I/d: the orthonormal ensemble carries nothing."""
+    d = ch.dim_in
+    f = np.fft.fft(np.eye(d)) / np.sqrt(d)
+    projectors = np.einsum("ik,jk->kij", f, f.conj())
+    ops = (ch.stacked()[:, None] @ projectors).reshape(-1, ch.dim_out, d)
+    return KrausChannel(d, ch.dim_out, ops)
+
+
+def pure_ensemble(vecs, probs):
+    return Ensemble(tuple(
+        (float(p), DensityMatrix(np.outer(v, v.conj()))) for p, v in zip(probs, vecs)
+    ))
+
+
+def random_pure_ensemble(rng, d, m):
+    """m random unit vectors, Dirichlet weights and the same states as an Ensemble."""
+    g = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    vecs = g / np.linalg.norm(g, axis=1, keepdims=True)
+    probs = rng.dirichlet(np.ones(m))
+    return vecs, probs, pure_ensemble(vecs, probs)
+
+
+def reference_optimize(ch, trials, seed):
+    """optimize_ensemble with each vector drawn on its own and each ensemble
+    evaluated on the Kraus route: the best of the orthonormal start and
+    ``trials`` restarts."""
+    d = ch.dim_in
+    best = holevo_of_ensemble(ch, orthonormal_ensemble(d))
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        m = int(rng.integers(2, d * d + 1))
+        vecs = []
+        for _ in range(m):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            vecs.append(v / np.linalg.norm(v))
+        probs = rng.dirichlet(np.ones(m))
+        best = max(best, holevo_of_ensemble(ch, pure_ensemble(vecs, probs)))
+    return best
 
 
 class TestReducedControlState:
@@ -195,6 +246,52 @@ class TestHolevoOfEnsemble:
         probs = rng.dirichlet(np.ones(m))
         ens = Ensemble(tuple(zip(map(float, probs), states)))
         assert holevo_of_ensemble(ch, ens) <= holevo_analytic(d, 0.0, ctrl).chi + 1e-12
+
+
+class TestStackedHolevo:
+    @given(
+        st.integers(0, 300),
+        st.sampled_from([2, 3]),
+        st.integers(1, 9),
+        st.sampled_from([0.3, 0.5, None]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_transfer_route_equals_kraus_route(self, seed, d, m, p):
+        """A SWITCH of depolarizers at control weight p, or a random channel for None."""
+        rng = np.random.default_rng(seed)
+        if p is None:
+            ch = random_channel(seed, 3, d)
+        else:
+            dep = depolarizing_channel(d, float(rng.uniform()))
+            ch = switch_with_fixed_control(dep, dep, ControlState(p))
+        vecs, probs, ens = random_pure_ensemble(rng, d, m)
+        chi = _chi_pure(_transfer_matrix(ch), ch.dim_out, probs, vecs)
+        assert chi == pytest.approx(holevo_of_ensemble(ch, ens), abs=1e-12)
+
+    def test_zero_weight_entry_changes_nothing(self):
+        dep = depolarizing_channel(2, 0.3)
+        ch = switch_with_fixed_control(dep, dep, ControlState(0.3))
+        vecs, probs, ens = random_pure_ensemble(np.random.default_rng(0), 2, 3)
+        _, _, extra_ens = random_pure_ensemble(np.random.default_rng(1), 2, 1)
+        # a NaN vector would poison the average, unless it is dropped before its output
+        vecs0 = np.insert(vecs, 1, np.nan, axis=0)
+        probs0 = np.insert(probs, 1, 0.0)
+        ens0 = Ensemble(ens.entries[:1] + ((0.0, extra_ens.entries[0][1]),) + ens.entries[1:])
+        transfer = _transfer_matrix(ch)
+        assert _chi_pure(transfer, 4, probs0, vecs0) == _chi_pure(transfer, 4, probs, vecs)
+        assert holevo_of_ensemble(ch, ens0) == holevo_of_ensemble(ch, ens)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_optimizer_keeps_the_per_vector_random_stream(self, d, seed):
+        # the orthonormal start carries nothing, so the best value is a drawn restart's
+        ch = fourier_dephased(random_channel(seed, 3, d))
+        assert holevo_of_ensemble(ch, orthonormal_ensemble(d)) == pytest.approx(0, abs=1e-12)
+        expected = reference_optimize(ch, 10, seed)
+        assert expected > 1e-3
+        assert optimize_ensemble(ch, trials=10, seed=seed).chi == pytest.approx(
+            expected, abs=1e-13
+        )
 
 
 class TestTransferMatrix:

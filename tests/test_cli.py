@@ -18,6 +18,16 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def sweep_csv(dims, qs, ps):
+    """CSV printed by a one-trial sweep over the given grid lists."""
+    out = io.StringIO()
+    argv = ["sweep", "--dims", ",".join(map(str, dims)), "--q", ",".join(map(repr, qs)),
+            "--p", ",".join(map(repr, ps)), "--trials", "1"]
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
 def usage_error(argv):
     """Exit code and stderr of a ``main`` call that must stop in ``parser.error``."""
     err = io.StringIO()
@@ -68,6 +78,19 @@ class TestSweep:
             bound = math.log2(r.d) + r.entropy_control - r.h_min
             assert r.chi_analytic == pytest.approx(bound, abs=1e-12)
             assert r.chi_analytic == pytest.approx(r.chi_numeric, abs=1e-12)
+
+    def test_repeated_grid_values_give_one_row(self, capsys):
+        code, out = run(capsys, "sweep", "--dims", "2,2", "--q", "0,0", "--trials", "1")
+        assert code == 0
+        assert len(out.splitlines()) == 2
+
+    @settings(max_examples=15, deadline=None)
+    @given(dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4),
+           qs=st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=1, max_size=4),
+           ps=st.lists(st.sampled_from([0.0, 0.5, 0.7]), min_size=1, max_size=4))
+    def test_grid_order_and_repeats_property(self, dims, qs, ps):
+        unique = [sorted(set(values)) for values in (dims, qs, ps)]
+        assert sweep_csv(dims, qs, ps) == sweep_csv(*unique)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["sweep", "--dims", "2", "--q", "0,0.5", "--trials", "10", "--seed", "7"]

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from switchcap.qmat import (
     DensityMatrix,
@@ -44,6 +47,20 @@ class TestTensor:
         rng = np.random.default_rng(seed)
         a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
         np.testing.assert_allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
+
+    @given(
+        hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                   elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False)),
+        hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                   elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False)),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_byte_identical_to_kron(self, a, b, transpose):
+        # a transposed operand is a strided view, which takes another multiply loop
+        if transpose:
+            b = b.T
+        assert tensor(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
 class TestPartialTrace:
@@ -131,6 +148,28 @@ class TestEntropy:
     def test_rejects_strongly_negative(self):
         with pytest.raises(InvalidStateError):
             entropy_bits([1.1, -0.1])
+
+    def test_rejects_strongly_negative_in_one_row_of_a_stack(self):
+        with pytest.raises(InvalidStateError):
+            entropy_bits([[0.5, 0.5], [1.0, 0.0], [1.1, -0.1]])
+
+    def test_single_spectrum_gives_positive_zero_float(self):
+        for spectrum in ([1.0], [1.0, 0.0], [1.0, -1e-12], []):
+            h = entropy_bits(spectrum)
+            assert type(h) is float
+            assert math.copysign(1.0, h) == 1.0
+
+    @given(hnp.arrays(
+        float,
+        hnp.array_shapes(min_dims=2, max_dims=3, max_side=8),
+        elements=st.sampled_from([0.0, -1e-12, 1.0]) | st.floats(0.0, 1.0),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_matches_each_row(self, spectra):
+        stacked = entropy_bits(spectra)
+        assert stacked.shape == spectra.shape[:-1]
+        for idx in np.ndindex(*spectra.shape[:-1]):
+            assert stacked[idx] == pytest.approx(entropy_bits(spectra[idx]), abs=1e-15)
 
     @given(st.integers(0, 500))
     @settings(max_examples=30)
