@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
     verify = sub.add_parser("verify", help="run a named comparison suite")
-    verify.add_argument("suite", help=f"one of: {', '.join(oracle.SUITES)}")
+    verify.add_argument("suite", choices=oracle.SUITES)
     verify.add_argument("--tol", type=float, default=1e-9)
     verify.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the report as JSON instead of text")
@@ -171,16 +171,22 @@ def main(argv=None) -> int:
             )
         except ValueError as exc:
             parser.error(str(exc))  # exits 2
+    elif not (math.isfinite(args.tol) and args.tol >= 0):
+        parser.error(f"tolerance must be finite and >= 0, got {args.tol}")
+
+    # fail on a bad path before computing; append mode keeps an existing file
+    if args.out not in (None, "-"):
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            parser.error(str(exc))
+
+    if args.command == "sweep":
         rows = run_sweep(cfg)
         text = render_csv(rows) if args.format == "csv" else render_json(rows)
         status = 0
     else:  # verify
-        if not (math.isfinite(args.tol) and args.tol >= 0):
-            parser.error(f"tolerance must be finite and >= 0, got {args.tol}")
-        try:
-            report = oracle.verify_equivalence(args.suite)
-        except ValueError as exc:
-            parser.error(str(exc))
+        report = oracle.verify_equivalence(args.suite)
         text = (report.to_json() if args.as_json else str(report)) + "\n"
         status = 0 if report.max_abs_deviation <= args.tol else 1
 

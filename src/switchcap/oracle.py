@@ -2,10 +2,11 @@
 
 The brute-force path below rebuilds everything from raw operator sums: its
 own Weyl unitaries, its own Kraus list, and one stacked array of all
-(d^2 + 1)^2 switched operators W, whose output is the stacked sum of
-W sigma W' over every pair. It deliberately shares nothing with the
-channel/switch modules beyond the qmat primitives, so agreement between
-the two paths is meaningful.
+(d^2 + 1)^2 switched operators W. Its output, the sum of W sigma W' over
+every pair, is contracted as two GEMMs: the stacked rows of W times sigma,
+then, with the pairs moved into the columns, times the stacked adjoints.
+It deliberately shares nothing with the channel/switch modules beyond the
+qmat primitives, so agreement between the two paths is meaningful.
 
 Reference constants for the capacity formulas are evaluated here in
 extended precision (mpmath) and frozen into the test fixtures.
@@ -65,13 +66,14 @@ def _weyl_ops(d: int) -> list[np.ndarray]:
 
 
 # The suites call the oracle many times in a row at one (d, q), so the last
-# operator stack is kept; it is read-only because every caller shares it.
+# operator stacks are kept; they are read-only because every caller shares them.
 @functools.lru_cache(maxsize=1)
-def _switch_kraus(d: int, q: float) -> np.ndarray:
+def _switch_kraus(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     """The (d^2+1)^2 switched Kraus operators of two noise-q depolarizers.
 
-    Operator (i, j) is K_i K_j (x) |0><0| + K_j K_i (x) |1><1|, stacked into
-    one read-only (n^2, 2d, 2d) array.
+    Operator (i, j) is K_i K_j (x) |0><0| + K_j K_i (x) |1><1|. Returns the
+    read-only (n^2, 2d, 2d) stack W and the read-only (n^2 * 2d, 2d) array
+    of adjoints, with conj(W_k[b, j]) at row (k, j) and column b.
     """
     kraus = np.array(
         [np.sqrt(q) * np.eye(d, dtype=complex)]
@@ -82,7 +84,10 @@ def _switch_kraus(d: int, q: float) -> np.ndarray:
     w[:, :, :, 0, :, 0] = kraus[:, None] @ kraus[None, :]
     w[:, :, :, 1, :, 1] = kraus[None, :] @ kraus[:, None]
     w.flags.writeable = False
-    return w.reshape(n * n, 2 * d, 2 * d)
+    w = w.reshape(n * n, 2 * d, 2 * d)
+    adjoint = w.conj().transpose(0, 2, 1).reshape(-1, 2 * d)
+    adjoint.flags.writeable = False
+    return w, adjoint
 
 
 def brute_force_switch_output(
@@ -90,8 +95,10 @@ def brute_force_switch_output(
 ) -> DensityMatrix:
     """Sum of W sigma W' over all (d^2+1)^2 Kraus pairs of the switched channel."""
     sigma = tensor(rho.matrix, ctrl.density())
-    w = _switch_kraus(d, q)
-    out = (w @ sigma @ w.conj().transpose(0, 2, 1)).sum(0)
+    w, adjoint = _switch_kraus(d, q)
+    # rows (k, a) of W_k sigma, regrouped as row a, column (k, j)
+    left = (w.reshape(-1, 2 * d) @ sigma).reshape(-1, 2 * d, 2 * d)
+    out = left.transpose(1, 0, 2).reshape(2 * d, -1) @ adjoint
     return DensityMatrix(out)
 
 
@@ -118,11 +125,11 @@ def reference_constants(dps: int = 50) -> dict[str, float]:
 
 def _analytic_vs_brute():
     for d in (2, 3, 4):
+        states = [random_density_matrix(d, seed) for seed in range(20)]
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
             for p in (0.0, 0.3, 0.5, 1.0):
                 ctrl = ControlState(p)
-                for seed in range(20):
-                    rho = random_density_matrix(d, seed)
+                for seed, rho in enumerate(states):
                     brute = brute_force_switch_output(d, q, ctrl, rho)
                     analytic = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
                     dev = float(np.abs(brute.matrix - analytic.matrix).max())
@@ -131,12 +138,12 @@ def _analytic_vs_brute():
 
 def _spectrum_vs_eigensolver():
     for d in (2, 3, 4, 5):
+        states = [random_density_matrix(d, seed) for seed in range(10)]
+        spectra = [hermitian_spectrum(rho.matrix) for rho in states]
         for q in (0.0, 0.3, 0.7, 1.0):
             for p in (0.2, 0.5, 0.7):
                 ctrl = ControlState(p)
-                for seed in range(10):
-                    rho = random_density_matrix(d, seed)
-                    rho_spec = hermitian_spectrum(rho.matrix)
+                for seed, (rho, rho_spec) in enumerate(zip(states, spectra)):
                     predicted = capacity.switched_spectrum(d, q, ctrl, rho_spec)
                     out = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
                     solved = hermitian_spectrum(out.matrix)
@@ -176,7 +183,7 @@ def _marginals():
 def _cptp():
     for d in (2, 3, 4):
         for q in (0.0, 0.4, 1.0):
-            w = _switch_kraus(d, q)
+            w, _ = _switch_kraus(d, q)
             total = (w.conj().transpose(0, 2, 1) @ w).sum(0)
             dev = float(np.abs(total - np.eye(2 * d)).max())
             yield dev, dict(d=d, q=q, p=0.5, seed=0)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from switchcap import cli
 from switchcap.cli import SweepConfig, main, render_csv, run_sweep
 
 DATA = Path(__file__).parent / "data"
@@ -34,6 +35,22 @@ def usage_error(argv):
     with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
         main(argv)
     return exc.value.code, err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--dims", "2", "--q", "0"],
+    ["verify", "analytic-vs-brute"],
+])
+@pytest.mark.parametrize("out", ["missing-dir/x.out", "."])
+def test_bad_out_fails_before_computing(tmp_path, monkeypatch, argv, out):
+    calls = []
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_sweep", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli.oracle, "verify_equivalence", lambda *a: calls.append(a))
+    code, err = usage_error(argv + ["--out", out])
+    assert code == 2
+    assert calls == []
+    assert "Traceback" not in err
 
 
 class TestSweep:

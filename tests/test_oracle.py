@@ -1,18 +1,22 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from switchcap.channels import depolarizing_channel
 from switchcap.oracle import (
     ComparisonReport,
     SUITES,
+    _switch_kraus,
     brute_force_switch_output,
     random_density_matrix,
     reference_constants,
     verify_equivalence,
 )
 from switchcap.qmat import tensor
-from switchcap.switch import ControlState
+from switchcap.switch import ControlState, switch_apply
 
 from helpers import suite_report
 
@@ -57,6 +61,31 @@ class TestBruteForce:
             out.matrix, tensor(rho.matrix, PLUS.density()), atol=1e-12
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        q=st.floats(0.0, 1.0),
+        p=st.floats(0.0, 1.0),
+        coherent=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_library_kraus_route(self, d, q, p, coherent, seed):
+        ctrl = ControlState(p, coherent=coherent)
+        rho = random_density_matrix(d, seed)
+        dep = depolarizing_channel(d, q)
+        brute = brute_force_switch_output(d, q, ctrl, rho).matrix
+        library = switch_apply(dep, dep, rho, ctrl).matrix
+        assert np.abs(brute - library).max() <= 1e-13
+
+    def test_cached_stacks_are_read_only_and_shared(self):
+        w, adjoint = _switch_kraus(3, 0.4)
+        assert w.shape == (100, 6, 6) and adjoint.shape == (600, 6)
+        for array in (w, adjoint):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        again = _switch_kraus(3, 0.4)
+        assert again[0] is w and again[1] is adjoint
+
 
 class TestReferenceConstants:
     def test_frozen_values(self):
@@ -86,6 +115,17 @@ class TestVerifyEquivalence:
         assert parsed["description"] == "demo"
         assert parsed["instances_tested"] == 5
         assert "max |dev|" in str(report)
+
+    @pytest.mark.parametrize("suite, grid", [
+        ("analytic-vs-brute",
+         ((2, 3, 4), (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.3, 0.5, 1.0), range(20))),
+        ("spectrum-vs-eigensolver",
+         ((2, 3, 4, 5), (0.0, 0.3, 0.7, 1.0), (0.2, 0.5, 0.7), range(10))),
+    ])
+    def test_suites_yield_in_grid_order(self, suite, grid):
+        params = [params for _, params in SUITES[suite]()]
+        expected = [dict(d=d, q=q, p=p, seed=seed) for d, q, p, seed in itertools.product(*grid)]
+        assert params == expected
 
     def test_suite_names_exported(self):
         assert "analytic-vs-brute" in SUITES
