@@ -1,10 +1,11 @@
 """Holevo information of the switched depolarizing channel.
 
-With the control state fixed, the switched channel is covariant under
-target unitaries U (x) I, so by Holevo's covariant-channel theorem
-chi = log2(d) + H(control marginal) - H_min at every control weight p, and
-the uniform orthonormal ensemble attains it. H_min splits into one 2x2
-control block per input eigenvalue, which gives it a closed form too.
+The closed-form output is I (x) A + rho (x) B, with (A, B) from
+``switch.depolarizing_switch_terms``. With the control fixed, the channel is
+covariant under target unitaries U (x) I, so by Holevo's covariant-channel
+theorem chi = log2(d) + H(d A + B) - H_min at every control weight p, and the
+uniform orthonormal ensemble attains it. d A + B is the control marginal;
+H_min is the entropy of the 2x2 blocks A + lam B at a pure input.
 A seeded random-restart search over ensembles is kept as an independent
 check: it must reach the closed form and never exceed it.
 """
@@ -17,14 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KrausChannel, apply
-from .qmat import (
-    DensityMatrix,
-    DimensionMismatchError,
-    Spectrum,
-    TOL_TRACE,
-    entropy_bits,
-)
-from .switch import ControlState
+from .qmat import DensityMatrix, DimensionMismatchError, TOL_TRACE, entropy_bits
+from .switch import ControlState, depolarizing_switch_terms
 
 
 @dataclass(frozen=True)
@@ -77,19 +72,9 @@ class CapacityReport:
 
 
 def reduced_control_state(d: int, q: float, ctrl: ControlState) -> DensityMatrix:
-    """2x2 control marginal of the switched depolarizing output.
-
-    (1-q)^2 [ diag(p, 1-p) + sqrt(p(1-p))/d^2 offdiag ] + q(2-q) rho_c.
-    """
-    if not ctrl.coherent:
-        raise ValueError("defined for a coherent control")
-    p = ctrl.p
-    coh = np.sqrt(p * (1.0 - p))
-    m = (1.0 - q) ** 2 * np.array(
-        [[p, coh / d**2], [coh / d**2, 1.0 - p]], dtype=complex
-    )
-    m += q * (2.0 - q) * ctrl.density()
-    return DensityMatrix(m)
+    """2x2 control marginal of the switched depolarizing output: d A + B."""
+    a, b = depolarizing_switch_terms(d, q, ctrl)
+    return DensityMatrix(d * a + b)
 
 
 def control_entropy(d: int, q: float, ctrl: ControlState) -> float:
@@ -98,47 +83,25 @@ def control_entropy(d: int, q: float, ctrl: ControlState) -> float:
     return entropy_bits(np.linalg.eigvalsh(rc.matrix))
 
 
-def switched_spectrum(
-    d: int, q: float, ctrl: ControlState, rho_spectrum: Spectrum
-) -> Spectrum:
-    """Eigenvalues of the joint output for a coherent control of weight p.
+def switched_spectrum(d: int, q: float, ctrl: ControlState, rho_spectrum) -> np.ndarray:
+    """Eigenvalues of the joint output, descending, from those of the input.
 
-    Each input eigenvalue lam gives one 2x2 control block. In the
-    {|+>, |->} basis, with r = 1-q, c = sqrt(p(1-p)) and
-    u = (r^2 + 2qr)/d + q^2 lam:
-      ++  (r^2 + 2qr(1+2c)) / 2d + (q^2 (1/2+c) + r^2 c / d^2) lam
-      --  r^2 (d - 2c lam) / 2d^2 + qr(1-2c) / d + q^2 (1/2-c) lam
-      +-  (p - 1/2) u
-    At p = 1/2 the blocks are diagonal.
+    In the eigenbasis of rho the output I (x) A + rho (x) B splits into one
+    2x2 control block A + lam B per input eigenvalue lam.
     """
-    if not ctrl.coherent:
-        raise ValueError("the closed form assumes a coherent control")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    lam = np.asarray(rho_spectrum.eigenvalues, dtype=float)
-    if len(lam) != d:
-        raise DimensionMismatchError(f"expected {d} eigenvalues, got {len(lam)}")
-    p, r = ctrl.p, 1.0 - q
-    c = np.sqrt(p * (1.0 - p))
-    slope = q**2 * (0.5 + c) + r**2 * c / d**2
-    u = (r**2 + 2.0 * q * r) / d + q**2 * lam
-    blocks = np.empty((d, 2, 2))
-    blocks[:, 0, 0] = (r**2 + 2.0 * q * r * (1.0 + 2.0 * c)) / (2.0 * d) + slope * lam
-    blocks[:, 1, 1] = (
-        r**2 * (d - 2.0 * c * lam) / (2.0 * d**2)
-        + q * r * (1.0 - 2.0 * c) / d
-        + q**2 * (0.5 - c) * lam
-    )
-    blocks[:, 0, 1] = blocks[:, 1, 0] = (p - 0.5) * u
-    return Spectrum(tuple(np.linalg.eigvalsh(blocks).ravel()))
+    lam = np.asarray(rho_spectrum, dtype=float)
+    if lam.shape != (d,):
+        raise DimensionMismatchError(f"expected {d} eigenvalues, got {lam.shape}")
+    a, b = depolarizing_switch_terms(d, q, ctrl)
+    return np.sort(np.linalg.eigvalsh(a + lam[:, None, None] * b), axis=None)[::-1]
 
 
 def h_min(d: int, q: float, ctrl: ControlState) -> float:
     """Minimum output entropy (bits); attained on pure target inputs."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    pure = Spectrum((1.0,) + (0.0,) * (d - 1))
-    return entropy_bits(switched_spectrum(d, q, ctrl, pure).eigenvalues)
+    # a pure input has eigenvalues 1, 0, ..., 0
+    return entropy_bits(switched_spectrum(d, q, ctrl, np.eye(d)[0]))
 
 
 def holevo_analytic(d: int, q: float, ctrl: ControlState) -> AnalyticCapacity:

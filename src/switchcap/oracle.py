@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import mpmath as mp
@@ -147,8 +148,7 @@ def _spectrum_vs_eigensolver():
                     predicted = capacity.switched_spectrum(d, q, ctrl, rho_spec)
                     out = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
                     solved = hermitian_spectrum(out.matrix)
-                    diff = np.subtract(predicted.eigenvalues, solved.eigenvalues)
-                    dev = float(np.abs(diff).max())
+                    dev = float(np.abs(predicted - solved).max())
                     yield dev, dict(d=d, q=q, p=p, seed=seed)
 
 
@@ -205,6 +205,7 @@ def verify_equivalence(suite: str) -> ComparisonReport:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     worst, where, count = 0.0, {}, 0
     for count, (dev, params) in enumerate(SUITES[suite](), start=1):
-        if dev > worst:
+        # the first NaN is kept as the worst case, so that the verdict fails
+        if not (math.isnan(worst) or dev <= worst):
             worst, where = dev, params
     return ComparisonReport(suite, worst, count, where)

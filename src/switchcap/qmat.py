@@ -33,8 +33,8 @@ def _as_complex(m) -> np.ndarray:
 class DensityMatrix:
     """Unit-trace positive-semidefinite Hermitian matrix.
 
-    Validation happens at construction: Hermiticity within ``TOL_HERM``,
-    unit trace within ``TOL_TRACE``, and eigenvalues >= -``TOL_PSD``.
+    Validation happens at construction: finite entries, Hermiticity within
+    ``TOL_HERM``, unit trace within ``TOL_TRACE``, and eigenvalues >= -``TOL_PSD``.
     Equality and hashing are by identity, since an array has no truth value.
     """
 
@@ -45,6 +45,8 @@ class DensityMatrix:
         m = _as_complex(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidStateError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise InvalidStateError("matrix has a non-finite entry")
         if np.abs(m - m.conj().T).max() > TOL_HERM:
             raise InvalidStateError("matrix is not Hermitian within tolerance")
         tr = m.trace()
@@ -58,22 +60,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", m.shape[0])
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues in descending order."""
-
-    eigenvalues: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.eigenvalues)
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            vals = tuple(sorted(vals, reverse=True))
-        object.__setattr__(self, "eigenvalues", vals)
-
-    def __len__(self):
-        return len(self.eigenvalues)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -103,12 +89,12 @@ def partial_trace(m: DensityMatrix, dim_a: int, dim_b: int, keep: str) -> Densit
     return DensityMatrix(reduced)
 
 
-def hermitian_spectrum(m) -> Spectrum:
+def hermitian_spectrum(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, descending."""
     m = _as_complex(m)
     if np.abs(m - m.conj().T).max() > TOL_HERM:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return Spectrum(tuple(np.linalg.eigvalsh(m)[::-1]))
+    return np.linalg.eigvalsh(m)[::-1]
 
 
 def entropy_bits(eigenvalues) -> float | np.ndarray:
@@ -116,9 +102,11 @@ def entropy_bits(eigenvalues) -> float | np.ndarray:
 
     A stack gives one entropy per spectrum along its last axis, a 1-D
     spectrum a float. Eigenvalues in [-TOL_PSD, 0) are clipped to 0 before
-    the log; anything more negative, in any spectrum, is an invalid state.
+    the log; a more negative or a non-finite one, in any spectrum, is invalid.
     """
     lam = np.asarray(eigenvalues, dtype=float)
+    if not np.isfinite(lam).all():
+        raise InvalidStateError("spectrum has a non-finite eigenvalue")
     if lam.size and lam.min() < -TOL_PSD:
         raise InvalidStateError(f"eigenvalue {lam.min():.3e} below -{TOL_PSD}")
     # a clipped eigenvalue becomes 1, whose term is 0; + 0.0 turns -0.0 into 0.0

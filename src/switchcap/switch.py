@@ -7,6 +7,7 @@ with the target as the slower-varying index. Control value |0> means channel
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,30 +81,35 @@ def switch_apply(
     return apply(switch_channel(n1, n2), sigma)
 
 
-def switched_depolarizing_analytic(
-    d: int, q: float, ctrl: ControlState, rho: DensityMatrix
-) -> DensityMatrix:
-    """Closed-form SWITCH output for two noise-q depolarizing channels.
+def depolarizing_switch_terms(
+    d: int, q: float, ctrl: ControlState
+) -> tuple[np.ndarray, np.ndarray]:
+    """The real 2x2 control operators (A, B) of the closed-form SWITCH output.
 
-    (1-q)^2 [ I/d (x) diag(p, 1-p) + sqrt(p(1-p)) rho/d^2 (x) offdiag ]
-      + 2q(1-q) I/d (x) rho_c + q^2 rho (x) rho_c,
-    written here in the target (x) control ordering.
+    Two noise-q depolarizers in a SWITCH send rho (x) rho_c to
+    I (x) A + rho (x) B, with c = sqrt(p(1-p)) and X the Pauli flip:
+      A = [(1-q)^2 diag(p, 1-p) + 2q(1-q) rho_c] / d
+        = [(1-q^2) diag(p, 1-p) + 2q(1-q) c X] / d
+      B = (1-q)^2 c/d^2 X + q^2 rho_c
     """
     if not ctrl.coherent:
         raise ValueError("the closed form assumes a coherent control")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
+    p = ctrl.p
+    c = math.sqrt(p * (1.0 - p))
+    q2, mix = q**2, 2.0 * q * (1.0 - q)
+    a = np.array([[(1.0 - q2) * p, mix * c], [mix * c, (1.0 - q2) * (1.0 - p)]]) / d
+    off = (1.0 - q) ** 2 * c / d**2 + q2 * c
+    b = np.array([[q2 * p, off], [off, q2 * (1.0 - p)]])
+    return a, b
+
+
+def switched_depolarizing_analytic(
+    d: int, q: float, ctrl: ControlState, rho: DensityMatrix
+) -> DensityMatrix:
+    """Closed-form SWITCH output I (x) A + rho (x) B, in target (x) control order."""
     if rho.dim != d:
         raise DimensionMismatchError(f"state dimension {rho.dim} != {d}")
-    p = ctrl.p
-    coh = np.sqrt(p * (1.0 - p))
-    eye = np.eye(d, dtype=complex)
-    diag_c = np.array([[p, 0.0], [0.0, 1.0 - p]], dtype=complex)
-    off_c = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    rho_c = ctrl.density()
-    out = (1.0 - q) ** 2 * (
-        tensor(eye / d, diag_c) + coh * tensor(rho.matrix / d**2, off_c)
-    )
-    out += 2.0 * q * (1.0 - q) * tensor(eye / d, rho_c)
-    out += q**2 * tensor(rho.matrix, rho_c)
-    return DensityMatrix(out)
+    a, b = depolarizing_switch_terms(d, q, ctrl)
+    return DensityMatrix(tensor(np.eye(d), a) + tensor(rho.matrix, b))

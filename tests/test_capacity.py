@@ -16,7 +16,12 @@ from switchcap.capacity import (
     switched_spectrum,
 )
 from switchcap.channels import KrausChannel, depolarizing_channel
-from switchcap.qmat import DensityMatrix, Spectrum, entropy_bits, hermitian_spectrum
+from switchcap.qmat import (
+    DensityMatrix,
+    DimensionMismatchError,
+    entropy_bits,
+    hermitian_spectrum,
+)
 from switchcap.switch import (
     ControlState,
     switch_apply,
@@ -93,7 +98,7 @@ class TestReducedControlState:
     def test_d2_q0_eigenvalues(self):
         rc = reduced_control_state(2, 0.0, PLUS)
         np.testing.assert_allclose(
-            hermitian_spectrum(rc.matrix).eigenvalues, (5 / 8, 3 / 8), atol=1e-12
+            hermitian_spectrum(rc.matrix), (5 / 8, 3 / 8), atol=1e-12
         )
 
     def test_q1_is_pure_control(self):
@@ -119,15 +124,13 @@ class TestReducedControlState:
 
 class TestSwitchedSpectrum:
     def test_d2_q0_pure(self):
-        spec = switched_spectrum(2, 0.0, PLUS, Spectrum((1.0, 0.0)))
-        np.testing.assert_allclose(
-            sorted(spec.eigenvalues), sorted([3 / 8, 1 / 4, 1 / 4, 1 / 8]), atol=1e-12
-        )
+        spec = switched_spectrum(2, 0.0, PLUS, [1.0, 0.0])
+        np.testing.assert_allclose(spec, [3 / 8, 1 / 4, 1 / 4, 1 / 8], atol=1e-12)
 
     def test_q1_pure_input_stays_pure(self):
-        spec = switched_spectrum(3, 1.0, PLUS, Spectrum((1.0, 0.0, 0.0)))
-        np.testing.assert_allclose(sorted(spec.eigenvalues)[-1], 1.0, atol=1e-12)
-        assert sum(spec.eigenvalues) == pytest.approx(1.0)
+        spec = switched_spectrum(3, 1.0, PLUS, [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(spec[0], 1.0, atol=1e-12)
+        assert spec.sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("q", [0.0, 0.3, 0.7])
@@ -135,7 +138,7 @@ class TestSwitchedSpectrum:
         for seed in range(5):
             rho = ginibre(d, seed)
             spec = switched_spectrum(d, q, PLUS, hermitian_spectrum(rho.matrix))
-            assert abs(sum(spec.eigenvalues) - 1.0) <= 1e-12
+            assert abs(spec.sum() - 1.0) <= 1e-12
 
     @given(
         st.integers(0, 200),
@@ -150,9 +153,25 @@ class TestSwitchedSpectrum:
         predicted = switched_spectrum(d, q, ctrl, hermitian_spectrum(rho.matrix))
         js = switched_depolarizing_analytic(d, q, ctrl, rho)
         solved = hermitian_spectrum(js.matrix)
-        np.testing.assert_allclose(
-            np.array(predicted.eigenvalues), np.array(solved.eigenvalues), atol=1e-10
-        )
+        np.testing.assert_allclose(predicted, solved, atol=1e-10)
+
+    @given(
+        st.integers(0, 200),
+        st.sampled_from([2, 3, 4, 5]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_returns_descending_array(self, seed, d, q, p):
+        # the input order does not matter: an ascending spectrum is passed
+        lam = hermitian_spectrum(ginibre(d, seed).matrix)[::-1]
+        spec = switched_spectrum(d, q, ControlState(p), lam)
+        assert isinstance(spec, np.ndarray) and spec.shape == (2 * d,)
+        assert np.all(spec[:-1] >= spec[1:])
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(DimensionMismatchError):
+            switched_spectrum(3, 0.0, PLUS, [1.0, 0.0])
 
 
 class TestMinimumEntropy:
@@ -171,7 +190,7 @@ class TestMinimumEntropy:
             for seed in range(20):
                 rho = ginibre(3, seed)
                 spec = switched_spectrum(3, 0.2, ctrl, hermitian_spectrum(rho.matrix))
-                assert entropy_bits(spec.eigenvalues) >= h_min(3, 0.2, ctrl) - 1e-12
+                assert entropy_bits(spec) >= h_min(3, 0.2, ctrl) - 1e-12
 
 
 class TestHolevoAnalytic:

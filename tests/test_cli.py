@@ -225,6 +225,21 @@ class TestVerify:
         assert report["description"] == "marginals"
         assert report["max_abs_deviation"] <= 1e-10
 
+    @pytest.mark.parametrize("devs, worst", [
+        ([1e-17, math.nan, 1.0, math.nan], 1),
+        ([math.nan, math.nan], 0),
+    ])
+    def test_nan_deviation_fails(self, capsys, monkeypatch, devs, worst):
+        def suite():
+            for i, dev in enumerate(devs):
+                yield dev, dict(d=2, q=0.0, p=0.5, seed=i)
+
+        monkeypatch.setitem(cli.oracle.SUITES, "cptp", suite)
+        code, out = run(capsys, "verify", "cptp", "--tol", "1e-9")
+        assert code == 1
+        assert f"max |dev| = nan over {len(devs)} instances" in out
+        assert out.endswith(f"seed={worst})\n")
+
 
 class TestRendering:
     def test_twelve_significant_digits(self):

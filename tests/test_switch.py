@@ -6,12 +6,13 @@ from switchcap.channels import KrausChannel, apply, depolarizing_channel
 from switchcap.qmat import DensityMatrix, partial_trace, tensor
 from switchcap.switch import (
     ControlState,
+    depolarizing_switch_terms,
     switch_apply,
     switch_channel,
     switch_with_fixed_control,
     switched_depolarizing_analytic,
 )
-from switchcap.capacity import reduced_control_state
+from switchcap.capacity import reduced_control_state, switched_spectrum
 
 from helpers import (
     compose_serial,
@@ -210,6 +211,54 @@ class TestAnalyticForm:
                 reduced_control_state(3, 0.0, PLUS).matrix,
                 atol=1e-10,
             )
+
+
+class TestSwitchTerms:
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_equals_kraus_route(self, d, q, p, seed):
+        ctrl = ControlState(p)
+        dep = depolarizing_channel(d, q)
+        rho = ginibre(d, seed)
+        kraus = switch_apply(dep, dep, rho, ctrl)
+        closed = switched_depolarizing_analytic(d, q, ctrl, rho)
+        np.testing.assert_allclose(closed.matrix, kraus.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            reduced_control_state(d, q, ctrl).matrix,
+            partial_trace(kraus, d, 2, "B").matrix,
+            rtol=0,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("d, q, p", [(2, 0.0, 0.5), (3, 0.4, 0.2), (5, 1.0, 0.7)])
+    def test_real_symmetric_and_unit_trace(self, d, q, p):
+        a, b = depolarizing_switch_terms(d, q, ControlState(p))
+        for m in (a, b):
+            assert m.dtype == np.float64 and m.shape == (2, 2)
+            assert m[0, 1] == m[1, 0]
+        assert np.trace(d * a + b) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("q, ctrl", [
+        (0.3, ControlState(0.5, coherent=False)),
+        (-0.1, PLUS),
+        (1.1, PLUS),
+        (float("nan"), PLUS),
+    ])
+    def test_every_closed_form_rejects_bad_input(self, q, ctrl):
+        calls = (
+            lambda: depolarizing_switch_terms(2, q, ctrl),
+            lambda: switched_depolarizing_analytic(2, q, ctrl, ginibre(2, 0)),
+            lambda: reduced_control_state(2, q, ctrl),
+            lambda: switched_spectrum(2, q, ctrl, [1.0, 0.0]),
+        )
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestFixedControlEmbedding:
