@@ -34,13 +34,13 @@ class KrausChannel:
         if len(self.kraus_ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         shape = (self.dim_out, self.dim_in)
-        for k in self.kraus_ops:
-            if np.shape(k) != shape:
-                raise DimensionMismatchError(
-                    f"Kraus operator shape {np.shape(k)}, expected {shape}"
-                )
-        # a view, so that an array passed in stays writeable for its owner
-        stack = np.asarray(self.kraus_ops, dtype=complex).view()
+        try:
+            # a view, so that an array passed in stays writeable for its owner
+            stack = np.asarray(self.kraus_ops, dtype=complex).view()
+        except ValueError:  # operators of unequal shapes
+            stack = None
+        if stack is None or stack.ndim != 3 or stack.shape[1:] != shape:
+            raise DimensionMismatchError(f"Kraus operators must all have shape {shape}")
         stack.flags.writeable = False
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "kraus_ops", tuple(stack))

@@ -8,8 +8,8 @@ then, with the pairs moved into the columns, times the stacked adjoints.
 It deliberately shares nothing with the channel/switch modules beyond the
 qmat primitives, so agreement between the two paths is meaningful.
 
-Reference constants for the capacity formulas are evaluated here in
-extended precision (mpmath) and frozen into the test fixtures.
+Only ``reference_constants`` imports mpmath, on its first call: it evaluates
+the capacity constants frozen into the test fixtures in extended precision.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import math
 from dataclasses import dataclass, asdict
 
-import mpmath as mp
 import numpy as np
 
 from . import capacity, switch
@@ -35,7 +34,10 @@ class ComparisonReport:
     worst_case_parameters: dict
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        fields = asdict(self)
+        if not math.isfinite(self.max_abs_deviation):
+            fields["max_abs_deviation"] = None
+        return json.dumps(fields, indent=2, sort_keys=True, allow_nan=False)
 
     def __str__(self):
         worst = ", ".join(f"{k}={v}" for k, v in self.worst_case_parameters.items())
@@ -105,6 +107,7 @@ def brute_force_switch_output(
 
 def reference_constants(dps: int = 50) -> dict[str, float]:
     """Capacity reference values at q=0, evaluated in extended precision."""
+    import mpmath as mp  # here, so that no sweep or verify run loads it
     with mp.workdps(dps):
         lg2 = mp.log(2)
 

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -51,6 +54,23 @@ def test_bad_out_fails_before_computing(tmp_path, monkeypatch, argv, out):
     assert code == 2
     assert calls == []
     assert "Traceback" not in err
+
+
+def test_cli_runs_never_import_mpmath():
+    # a fresh interpreter: other tests load mpmath into this one
+    script = (
+        "import contextlib, io, sys\n"
+        "from switchcap import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['sweep', '--dims', '2', '--q', '0', '--trials', '1']) == 0\n"
+        "    assert cli.main(['verify', 'cptp']) == 0\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSweep:
@@ -234,11 +254,22 @@ class TestVerify:
             for i, dev in enumerate(devs):
                 yield dev, dict(d=2, q=0.0, p=0.5, seed=i)
 
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
         monkeypatch.setitem(cli.oracle.SUITES, "cptp", suite)
         code, out = run(capsys, "verify", "cptp", "--tol", "1e-9")
         assert code == 1
         assert f"max |dev| = nan over {len(devs)} instances" in out
         assert out.endswith(f"seed={worst})\n")
+
+        # the JSON report stays strict JSON: the NaN is written as null
+        code, out = run(capsys, "verify", "cptp", "--tol", "1e-9", "--json")
+        assert code == 1
+        report = json.loads(out, parse_constant=reject)
+        assert report["max_abs_deviation"] is None
+        assert report["instances_tested"] == len(devs)
+        assert report["worst_case_parameters"]["seed"] == worst
 
 
 class TestRendering:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -115,6 +116,10 @@ class TestVerifyEquivalence:
         assert parsed["description"] == "demo"
         assert parsed["instances_tested"] == 5
         assert "max |dev|" in str(report)
+
+    def test_infinite_deviation_is_written_as_null(self):
+        report = ComparisonReport("demo", math.inf, 5, {"d": 2, "q": 0.0})
+        assert json.loads(report.to_json())["max_abs_deviation"] is None
 
     @pytest.mark.parametrize("suite, grid", [
         ("analytic-vs-brute",
