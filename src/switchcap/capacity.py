@@ -1,11 +1,12 @@
 """Holevo information of the switched depolarizing channel.
 
 The closed-form output is I (x) A + rho (x) B, with (A, B) from
-``switch.depolarizing_switch_terms``. With the control fixed, the channel is
-covariant under target unitaries U (x) I, so by Holevo's covariant-channel
-theorem chi = log2(d) + H(d A + B) - H_min at every control weight p, and the
-uniform orthonormal ensemble attains it. d A + B is the control marginal;
-H_min is the entropy of the 2x2 blocks A + lam B at a pure input.
+``switch.depolarizing_switch_terms``. With the control fixed, coherent or
+dephased, the channel is covariant under target unitaries U (x) I, so by
+Holevo's covariant-channel theorem chi = log2(d) + H(d A + B) - H_min at every
+control weight p, and the uniform orthonormal ensemble attains it. d A + B is
+the control marginal; H_min is the entropy of the 2x2 blocks A + lam B at a
+pure input.
 A seeded random-restart search over ensembles is kept as an independent
 check: it must reach the closed form and never exceed it.
 """
@@ -17,32 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel, apply
-from .qmat import DensityMatrix, DimensionMismatchError, TOL_TRACE, entropy_bits
+from .channels import KrausChannel
+from .qmat import DensityMatrix, DimensionMismatchError, entropy_bits
 from .switch import ControlState, depolarizing_switch_terms
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Classical-quantum input: (probability, state) pairs of equal dimension."""
-
-    entries: tuple[tuple[float, DensityMatrix], ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("ensemble must be nonempty")
-        probs = [p for p, _ in self.entries]
-        if min(probs) < 0:
-            raise ValueError("probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > TOL_TRACE:
-            raise ValueError(f"probabilities sum to {sum(probs)}, expected 1")
-        dims = {rho.dim for _, rho in self.entries}
-        if len(dims) > 1:
-            raise DimensionMismatchError(f"mixed state dimensions {dims}")
-
-    @property
-    def dim(self) -> int:
-        return self.entries[0][1].dim
 
 
 class AnalyticCapacity(NamedTuple):
@@ -77,12 +55,6 @@ def reduced_control_state(d: int, q: float, ctrl: ControlState) -> DensityMatrix
     return DensityMatrix(d * a + b)
 
 
-def control_entropy(d: int, q: float, ctrl: ControlState) -> float:
-    """H of the control marginal, in bits, for any coherent control weight."""
-    rc = reduced_control_state(d, q, ctrl)
-    return entropy_bits(np.linalg.eigvalsh(rc.matrix))
-
-
 def switched_spectrum(d: int, q: float, ctrl: ControlState, rho_spectrum) -> np.ndarray:
     """Eigenvalues of the joint output, descending, from those of the input.
 
@@ -96,18 +68,14 @@ def switched_spectrum(d: int, q: float, ctrl: ControlState, rho_spectrum) -> np.
     return np.sort(np.linalg.eigvalsh(a + lam[:, None, None] * b), axis=None)[::-1]
 
 
-def h_min(d: int, q: float, ctrl: ControlState) -> float:
-    """Minimum output entropy (bits); attained on pure target inputs."""
+def holevo_analytic(d: int, q: float, ctrl: ControlState) -> AnalyticCapacity:
+    """chi = log2(d) + H(control marginal) - H_min, for a coherent or dephased
+    control. H_min, the minimum output entropy, is attained on pure inputs."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
+    hc = entropy_bits(np.linalg.eigvalsh(reduced_control_state(d, q, ctrl).matrix))
     # a pure input has eigenvalues 1, 0, ..., 0
-    return entropy_bits(switched_spectrum(d, q, ctrl, np.eye(d)[0]))
-
-
-def holevo_analytic(d: int, q: float, ctrl: ControlState) -> AnalyticCapacity:
-    """chi = log2(d) + H(control marginal) - H_min, for a coherent control."""
-    hc = control_entropy(d, q, ctrl)
-    hm = h_min(d, q, ctrl)
+    hm = entropy_bits(switched_spectrum(d, q, ctrl, np.eye(d)[0]))
     return AnalyticCapacity(np.log2(d) + hc - hm, hc, hm)
 
 
@@ -117,25 +85,6 @@ def _holevo(probs: np.ndarray, outputs: np.ndarray) -> float:
     avg = (probs[:, None, None] * outputs).sum(axis=0)
     h = entropy_bits(np.linalg.eigvalsh(np.concatenate((outputs, avg[None]))))
     return float(h[-1] - probs @ h[:-1])
-
-
-def holevo_of_ensemble(ch: KrausChannel, ens: Ensemble) -> float:
-    """Mutual information H(sum_x p_x N(rho_x)) - sum_x p_x H(N(rho_x))."""
-    if ens.dim != ch.dim_in:
-        raise DimensionMismatchError(
-            f"ensemble dimension {ens.dim} != channel input {ch.dim_in}"
-        )
-    probs, states = zip(*((p, rho) for p, rho in ens.entries if p != 0.0))
-    outputs = np.stack([apply(ch, rho).matrix for rho in states])
-    return _holevo(np.array(probs), outputs)
-
-
-def orthonormal_ensemble(d: int) -> Ensemble:
-    """d computational-basis pure states with uniform probabilities."""
-    eye = np.eye(d, dtype=complex)
-    return Ensemble(
-        tuple((1.0 / d, DensityMatrix(np.outer(eye[i], eye[i]))) for i in range(d))
-    )
 
 
 def _transfer_matrix(ch: KrausChannel) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Quantum channels in Kraus form.
 
-Provides the generalized-Pauli (Heisenberg-Weyl) unitary basis, the
-depolarizing family built on it, and the Kraus sum that applies a channel.
+Provides the generalized-Pauli (Heisenberg-Weyl) unitary basis and the
+depolarizing family built on it.
 Kraus lists are kept exactly as constructed; representations are never
 minimized or canonicalized, so representation-independence stays testable.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import DensityMatrix, DimensionMismatchError
+from .qmat import DimensionMismatchError
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,13 +76,3 @@ def depolarizing_channel(d: int, q: float) -> KrausChannel:
     ops.extend(np.sqrt(1.0 - q) / d * u for u in weyl_basis(d))
     return KrausChannel(d, d, tuple(ops))
 
-
-def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """sum_i K_i rho K_i'."""
-    if rho.dim != ch.dim_in:
-        raise DimensionMismatchError(
-            f"state dimension {rho.dim} != channel input {ch.dim_in}"
-        )
-    k = ch.stacked()
-    out = np.einsum("nij,jk,nlk->il", k, rho.matrix, k.conj())
-    return DensityMatrix(out)

@@ -33,9 +33,11 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # sorted and unique: a repeated grid value would repeat its rows
+        # sorted and unique: a repeated grid value would repeat its rows; + 0
+        # turns -0.0 into 0.0, which prints as 0, not -0, and leaves an int an int
         for name in ("dims", "q_values", "p_values"):
-            object.__setattr__(self, name, tuple(sorted(set(getattr(self, name)))))
+            unique = {v + 0 for v in getattr(self, name)}
+            object.__setattr__(self, name, tuple(sorted(unique)))
         if not (self.dims and self.q_values and self.p_values):
             raise ValueError("dims, q and p lists must be nonempty")
         if any(d < 2 for d in self.dims):

@@ -7,12 +7,11 @@ with the target as the slower-varying index. Control value |0> means channel
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply
+from .channels import KrausChannel
 from .qmat import DensityMatrix, DimensionMismatchError, tensor
 
 
@@ -70,39 +69,26 @@ def switch_with_fixed_control(
     return KrausChannel(d, 2 * d, ops)
 
 
-def switch_apply(
-    n1: KrausChannel, n2: KrausChannel, rho: DensityMatrix, ctrl: ControlState
-) -> DensityMatrix:
-    """Sum over all Kraus pairs applied to rho (x) rho_c, on target (x) control."""
-    d = n1.dim_in
-    if rho.dim != d:
-        raise DimensionMismatchError(f"state dimension {rho.dim} != channel {d}")
-    sigma = DensityMatrix(tensor(rho.matrix, ctrl.density()))
-    return apply(switch_channel(n1, n2), sigma)
-
-
 def depolarizing_switch_terms(
     d: int, q: float, ctrl: ControlState
 ) -> tuple[np.ndarray, np.ndarray]:
     """The real 2x2 control operators (A, B) of the closed-form SWITCH output.
 
     Two noise-q depolarizers in a SWITCH send rho (x) rho_c to
-    I (x) A + rho (x) B, with c = sqrt(p(1-p)) and X the Pauli flip:
-      A = [(1-q)^2 diag(p, 1-p) + 2q(1-q) rho_c] / d
-        = [(1-q^2) diag(p, 1-p) + 2q(1-q) c X] / d
-      B = (1-q)^2 c/d^2 X + q^2 rho_c
+    I (x) A + rho (x) B, for a coherent or a dephased control rho_c. Each
+    control block maps rho to alpha rho + beta Tr(rho) I/d, so, entrywise,
+      A = rho_c * beta / d,  beta = [[1-q^2, 2q(1-q)], [2q(1-q), 1-q^2]]
+      B = rho_c * alpha,     alpha = [[q^2, q^2 + (1-q)^2/d^2], [same, q^2]]
     """
-    if not ctrl.coherent:
-        raise ValueError("the closed form assumes a coherent control")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    p = ctrl.p
-    c = math.sqrt(p * (1.0 - p))
     q2, mix = q**2, 2.0 * q * (1.0 - q)
-    a = np.array([[(1.0 - q2) * p, mix * c], [mix * c, (1.0 - q2) * (1.0 - p)]]) / d
-    off = (1.0 - q) ** 2 * c / d**2 + q2 * c
-    b = np.array([[q2 * p, off], [off, q2 * (1.0 - p)]])
-    return a, b
+    twirl = q2 + (1.0 - q) ** 2 / d**2
+    beta_alpha = np.array(
+        [[[1.0 - q2, mix], [mix, 1.0 - q2]], [[q2, twirl], [twirl, q2]]]
+    )
+    rho_c_beta, b = ctrl.density().real * beta_alpha
+    return rho_c_beta / d, b
 
 
 def switched_depolarizing_analytic(

@@ -1,4 +1,5 @@
-"""Shared random instances, channel fixtures and suite runs for the test suite."""
+"""Shared random instances, channel fixtures, the Kraus-sum reference route
+and suite runs for the test suite."""
 
 import functools
 
@@ -6,7 +7,8 @@ import numpy as np
 
 from switchcap.channels import KrausChannel
 from switchcap.oracle import random_density_matrix as ginibre, verify_equivalence
-from switchcap.qmat import DimensionMismatchError
+from switchcap.qmat import DensityMatrix, DimensionMismatchError, entropy_bits, tensor
+from switchcap.switch import switch_channel
 
 # A suite's report is immutable and its grid fixed, so the tests that assert
 # on the same suite share one run of it.
@@ -51,3 +53,24 @@ def cptp_deviation(ch):
     k = ch.stacked()
     total = np.einsum("nji,njk->ik", k.conj(), k)
     return float(np.abs(total - np.eye(ch.dim_in)).max())
+
+
+# The Kraus route: each output is the plain sum over a channel's Kraus list,
+# the reference that the closed forms and the transfer matrix are tested against.
+def apply(ch, rho):
+    """sum_i K_i rho K_i' for a DensityMatrix rho."""
+    k = ch.stacked()
+    return DensityMatrix(np.einsum("nij,jk,nlk->il", k, rho.matrix, k.conj()))
+
+
+def switch_apply(n1, n2, rho, ctrl):
+    """The SWITCH of n1 and n2 applied to rho (x) rho_c, on target (x) control."""
+    return apply(switch_channel(n1, n2), DensityMatrix(tensor(rho.matrix, ctrl.density())))
+
+
+def holevo_of_ensemble(ch, probs, states):
+    """H(sum_x p_x N(rho_x)) - sum_x p_x H(N(rho_x)), in bits."""
+    outputs = [apply(ch, rho).matrix for rho in states]
+    average = sum(p * out for p, out in zip(probs, outputs))
+    h_out = sum(p * entropy_bits(np.linalg.eigvalsh(out)) for p, out in zip(probs, outputs))
+    return entropy_bits(np.linalg.eigvalsh(average)) - h_out

@@ -5,24 +5,22 @@ pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`.
 import numpy as np
 import pytest
 
-from switchcap.capacity import (
-    Ensemble,
-    holevo_analytic,
-    holevo_of_ensemble,
-    optimize_ensemble,
-)
-from switchcap.channels import KrausChannel, apply, depolarizing_channel
+from switchcap.capacity import holevo_analytic, optimize_ensemble
+from switchcap.channels import KrausChannel, depolarizing_channel
 from switchcap.cli import main
 from switchcap.oracle import random_density_matrix
 from switchcap.qmat import DensityMatrix, tensor
-from switchcap.switch import (
-    ControlState,
-    switch_apply,
-    switch_channel,
-    switch_with_fixed_control,
-)
+from switchcap.switch import ControlState, switch_channel, switch_with_fixed_control
 
-from helpers import compose_serial, cptp_deviation, dephasing_channel, suite_report
+from helpers import (
+    apply,
+    compose_serial,
+    cptp_deviation,
+    dephasing_channel,
+    holevo_of_ensemble,
+    suite_report,
+    switch_apply,
+)
 
 PLUS = ControlState(0.5)
 
@@ -76,7 +74,7 @@ def test_criterion_5_optimizer_attainment_and_bound():
                 v /= np.linalg.norm(v)
                 states.append(DensityMatrix(np.outer(v, v.conj())))
             probs = rng.dirichlet(np.ones(m))
-            sampled = holevo_of_ensemble(ch, Ensemble(tuple(zip(map(float, probs), states))))
+            sampled = holevo_of_ensemble(ch, probs, states)
             worst_excess = max(worst_excess, sampled - chi)
     ok = worst_gap <= 1e-6 and worst_excess <= 1e-8
     report(
@@ -87,10 +85,15 @@ def test_criterion_5_optimizer_attainment_and_bound():
 
 
 def test_criterion_6_decoherence_null():
+    dephased = ControlState(0.5, coherent=False)
     dep = depolarizing_channel(2, 0.0)
-    ch = switch_with_fixed_control(dep, dep, ControlState(0.5, coherent=False))
+    ch = switch_with_fixed_control(dep, dep, dephased)
     result = optimize_ensemble(ch, trials=100, seed=0)
-    report("6 dephased control transmits nothing", result.chi <= 1e-9, f"chi {result.chi:.2e}")
+    # the closed form can round to a few ulps below 0
+    closed = holevo_analytic(2, 0.0, dephased).chi
+    ok = result.chi <= 1e-9 and abs(closed) <= 1e-12
+    detail = f"chi {result.chi:.2e}, closed form {closed:.2e}"
+    report("6 dephased control transmits nothing", ok, detail)
 
 
 def test_criterion_7_commuting_kraus_null():

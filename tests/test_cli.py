@@ -1,8 +1,11 @@
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchcap import cli
+import switchcap
+from switchcap import cli, oracle
 from switchcap.cli import SweepConfig, main, render_csv, run_sweep
 
 DATA = Path(__file__).parent / "data"
@@ -25,8 +29,9 @@ def run(capsys, *argv):
 def sweep_csv(dims, qs, ps):
     """CSV printed by a one-trial sweep over the given grid lists."""
     out = io.StringIO()
-    argv = ["sweep", "--dims", ",".join(map(str, dims)), "--q", ",".join(map(repr, qs)),
-            "--p", ",".join(map(repr, ps)), "--trials", "1"]
+    # --q=VALUES, because argparse reads a list that starts with -0.0 as an option
+    argv = ["sweep", "--dims", ",".join(map(str, dims)), "--q=" + ",".join(map(repr, qs)),
+            "--p=" + ",".join(map(repr, ps)), "--trials", "1"]
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     return out.getvalue()
@@ -71,6 +76,37 @@ def test_cli_runs_never_import_mpmath():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_public_function_is_reached_by_sweep_or_verify():
+    """No library code that only tests reach. ``oracle.reference_constants`` is
+    the one exception: the tests and the benchmark check the frozen constants
+    with it."""
+    reached = set()
+    sweep = ["sweep", "--dims", "2", "--q", "0", "--trials", "1"]
+    # every frame the profiler sees belongs to a function that was called
+    sys.setprofile(lambda frame, event, arg: reached.add(frame.f_code))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (sweep, sweep + ["--format", "json"], ["verify", "cptp", "--json"]):
+                assert main(argv) == 0
+        for suite in oracle.SUITES.values():
+            next(suite())
+    finally:
+        sys.setprofile(None)
+
+    unreached = []
+    for info in pkgutil.iter_modules(switchcap.__path__):
+        module = importlib.import_module(f"switchcap.{info.name}")
+        defined = [(name, obj) for name, obj in vars(module).items()
+                   if getattr(obj, "__module__", None) == module.__name__]
+        # the methods of the classes defined here count as well
+        defined += [(f"{name}.{attr}", fn) for name, obj in defined if inspect.isclass(obj)
+                    for attr, fn in vars(obj).items()]
+        unreached += [f"{info.name}.{name}" for name, fn in defined
+                      if inspect.isfunction(fn) and fn.__code__ not in reached
+                      and not any(part.startswith("_") for part in name.split("."))]
+    assert unreached == ["oracle.reference_constants"]
 
 
 class TestSweep:
@@ -123,10 +159,11 @@ class TestSweep:
 
     @settings(max_examples=15, deadline=None)
     @given(dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4),
-           qs=st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=1, max_size=4),
-           ps=st.lists(st.sampled_from([0.0, 0.5, 0.7]), min_size=1, max_size=4))
+           qs=st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0]), min_size=1, max_size=4),
+           ps=st.lists(st.sampled_from([0.0, -0.0, 0.5, 0.7]), min_size=1, max_size=4))
     def test_grid_order_and_repeats_property(self, dims, qs, ps):
-        unique = [sorted(set(values)) for values in (dims, qs, ps)]
+        # -0.0 is the grid value 0.0, and prints as 0 wherever it stands in the list
+        unique = [sorted({v + 0 for v in values}) for values in (dims, qs, ps)]
         assert sweep_csv(dims, qs, ps) == sweep_csv(*unique)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):

@@ -17,9 +17,9 @@ from switchcap.oracle import (
     verify_equivalence,
 )
 from switchcap.qmat import tensor
-from switchcap.switch import ControlState, switch_apply
+from switchcap.switch import ControlState, switched_depolarizing_analytic
 
-from helpers import suite_report
+from helpers import suite_report, switch_apply
 
 PLUS = ControlState(0.5)
 
@@ -77,6 +77,9 @@ class TestBruteForce:
         brute = brute_force_switch_output(d, q, ctrl, rho).matrix
         library = switch_apply(dep, dep, rho, ctrl).matrix
         assert np.abs(brute - library).max() <= 1e-13
+        # the analytic-vs-brute suite checks the closed form for a coherent control only
+        closed = switched_depolarizing_analytic(d, q, ctrl, rho).matrix
+        assert np.abs(brute - closed).max() <= 1e-12
 
     def test_cached_stacks_are_read_only_and_shared(self):
         w, adjoint = _switch_kraus(3, 0.4)

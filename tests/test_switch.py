@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchcap.channels import KrausChannel, apply, depolarizing_channel
-from switchcap.qmat import DensityMatrix, partial_trace, tensor
+from switchcap.channels import KrausChannel, depolarizing_channel
+from switchcap.qmat import DensityMatrix, hermitian_spectrum, partial_trace, tensor
 from switchcap.switch import (
     ControlState,
     depolarizing_switch_terms,
-    switch_apply,
     switch_channel,
     switch_with_fixed_control,
     switched_depolarizing_analytic,
@@ -15,12 +14,14 @@ from switchcap.switch import (
 from switchcap.capacity import reduced_control_state, switched_spectrum
 
 from helpers import (
+    apply,
     compose_serial,
     cptp_deviation,
     dephasing_channel,
     ginibre,
     identity_channel,
     random_kraus,
+    switch_apply,
 )
 
 PLUS = ControlState(0.5)
@@ -195,9 +196,12 @@ class TestAnalyticForm:
         np.testing.assert_allclose(m[:, 0, :, 1], 0.0, atol=1e-12)
         np.testing.assert_allclose(m[:, 1, :, 0], 0.0, atol=1e-12)
 
-    def test_rejects_dephased_control(self):
-        with pytest.raises(ValueError):
-            switched_depolarizing_analytic(2, 0.0, dephased(), ginibre(2, 0))
+    def test_dephased_control_erases_input(self):
+        # two completely depolarizing channels in a definite or a mixed order
+        for p in (0.3, 0.5):
+            js = switched_depolarizing_analytic(3, 0.0, dephased(p), ginibre(3, 4))
+            expected = tensor(np.eye(3) / 3, np.diag([p, 1.0 - p]))
+            np.testing.assert_allclose(js.matrix, expected, rtol=0, atol=1e-15)
 
     def test_marginals_at_q0(self):
         for seed in range(5):
@@ -218,11 +222,12 @@ class TestSwitchTerms:
         st.sampled_from([2, 3, 4]),
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
+        st.booleans(),
         st.integers(0, 10_000),
     )
     @settings(max_examples=60, deadline=None)
-    def test_closed_form_equals_kraus_route(self, d, q, p, seed):
-        ctrl = ControlState(p)
+    def test_closed_form_equals_kraus_route(self, d, q, p, coherent, seed):
+        ctrl = ControlState(p, coherent=coherent)
         dep = depolarizing_channel(d, q)
         rho = ginibre(d, seed)
         kraus = switch_apply(dep, dep, rho, ctrl)
@@ -250,15 +255,29 @@ class TestSwitchTerms:
         (float("nan"), PLUS),
     ])
     def test_every_closed_form_rejects_bad_input(self, q, ctrl):
+        rho = ginibre(2, 0)
         calls = (
             lambda: depolarizing_switch_terms(2, q, ctrl),
-            lambda: switched_depolarizing_analytic(2, q, ctrl, ginibre(2, 0)),
+            lambda: switched_depolarizing_analytic(2, q, ctrl, rho),
             lambda: reduced_control_state(2, q, ctrl),
-            lambda: switched_spectrum(2, q, ctrl, [1.0, 0.0]),
+            lambda: switched_spectrum(2, q, ctrl, hermitian_spectrum(rho.matrix)),
         )
-        for call in calls:
-            with pytest.raises(ValueError):
-                call()
+        if ctrl.coherent:  # a bad q
+            for call in calls:
+                with pytest.raises(ValueError):
+                    call()
+            return
+        # a dephased control is valid input: each form agrees with the Kraus route
+        dep = depolarizing_channel(2, q)
+        kraus = switch_apply(dep, dep, rho, ctrl)
+        a, b = calls[0]()
+        for got, want in (
+            (tensor(np.eye(2), a) + tensor(rho.matrix, b), kraus.matrix),
+            (calls[1]().matrix, kraus.matrix),
+            (calls[2]().matrix, partial_trace(kraus, 2, 2, "B").matrix),
+            (calls[3](), hermitian_spectrum(kraus.matrix)),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestFixedControlEmbedding:
