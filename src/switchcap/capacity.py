@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KrausChannel
-from .qmat import DensityMatrix, DimensionMismatchError, entropy_bits
+from .qmat import TOL_PSD, DensityMatrix, DimensionMismatchError, entropy_bits
 from .switch import ControlState, depolarizing_switch_terms
 
 
@@ -76,7 +76,9 @@ def holevo_analytic(d: int, q: float, ctrl: ControlState) -> AnalyticCapacity:
     hc = entropy_bits(np.linalg.eigvalsh(reduced_control_state(d, q, ctrl).matrix))
     # a pure input has eigenvalues 1, 0, ..., 0
     hm = entropy_bits(switched_spectrum(d, q, ctrl, np.eye(d)[0]))
-    return AnalyticCapacity(np.log2(d) + hc - hm, hc, hm)
+    chi = np.log2(d) + hc - hm
+    # a zero chi can cancel to a few ulps below 0: round-off in [-TOL_PSD, 0) is 0
+    return AnalyticCapacity(0.0 if -TOL_PSD <= chi < 0 else chi, hc, hm)
 
 
 def _holevo(probs: np.ndarray, outputs: np.ndarray) -> float:
@@ -119,9 +121,12 @@ def optimize_ensemble(
 ) -> OptimizerResult:
     """Best of the uniform orthonormal ensemble and ``trials`` random ones.
 
-    Each random ensemble has up to d^2 pure states and Dirichlet weights,
-    drawn from its own (seed, trial) stream, so the result is deterministic
-    in ``seed``; each is evaluated as one stack. For a covariant channel the
+    Each random ensemble has 2 to d^2 pure states and Dirichlet(1, ..., 1)
+    weights. One ``default_rng(seed)`` draws them all up front, so the result
+    is deterministic in ``seed``: first every ensemble's size, then d real
+    and d imaginary normal parts per vector, in restart order, then one
+    Exp(1) variate per vector, each restart's normalised over its sum. Each
+    ensemble is evaluated as one stack. For a covariant channel the
     orthonormal ensemble already attains chi; the random restarts are a
     check that nothing beats it.
     """
@@ -132,14 +137,14 @@ def optimize_ensemble(
     uniform = np.full(d, 1.0 / d)
     best_chi = _chi_pure(transfer, ch.dim_out, uniform, np.eye(d, dtype=complex))
 
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        m = int(rng.integers(2, d * d + 1))
-        # each vector takes d real parts, then d imaginary parts, from the stream
-        re_im = rng.standard_normal((m, 2, d))
-        vecs = re_im[:, 0] + 1j * re_im[:, 1]
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        probs = rng.dirichlet(np.ones(m))
-        best_chi = max(best_chi, _chi_pure(transfer, ch.dim_out, probs, vecs))
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, d * d + 1, size=trials)
+    re_im = rng.standard_normal((sizes.sum(), 2, d))
+    vecs = re_im[:, 0] + 1j * re_im[:, 1]
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    weights = rng.standard_exponential(sizes.sum())
+    starts = np.cumsum(sizes)[:-1]
+    for v, w in zip(np.split(vecs, starts), np.split(weights, starts)):
+        best_chi = max(best_chi, _chi_pure(transfer, ch.dim_out, w / w.sum(), v))
 
     return OptimizerResult(best_chi, trials, 0)

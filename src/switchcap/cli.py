@@ -19,9 +19,11 @@ CSV_COLUMNS = ("d", "q", "p", "chi_analytic", "chi_numeric", "entropy_control", 
 
 # At its peak a sweep row holds its (d^2+1)^2 SWITCH Kraus operators twice,
 # as a stack of 2d x 2d and one of 2d x d complex matrices: 291 MB at d = 12,
-# where tracemalloc measured 297 MB. Larger dimensions are refused up front:
-# d = 16 needs 1.6 GB, d = 17 needs 2.3 GB.
-MAX_KRAUS_BYTES = 2 * 1024**3
+# where tracemalloc measured 297 MB. The optimizer then draws up to d^2
+# vectors per restart up front, at a peak of 48 d + 16 bytes a vector by
+# tracemalloc. Rows above the limit are refused up front: at 200 restarts,
+# d = 16 needs 1.66 GB and d = 17 needs 2.3 GB.
+MAX_ROW_BYTES = 2 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -42,15 +44,17 @@ class SweepConfig:
             raise ValueError("dims, q and p lists must be nonempty")
         if any(d < 2 for d in self.dims):
             raise ValueError("dimensions must be >= 2")
-        for d in self.dims:
-            size = (d * d + 1) ** 2 * ((2 * d) ** 2 + 2 * d * d) * 16
-            if size > MAX_KRAUS_BYTES:
-                raise ValueError(
-                    f"d = {d} needs about {size / 1e9:.3g} GB of Kraus operators "
-                    f"per row, above the {MAX_KRAUS_BYTES / 1e9:.3g} GB limit"
-                )
         if self.optimizer_trials < 1:
             raise ValueError("trials must be >= 1")
+        for d in self.dims:
+            kraus = (d * d + 1) ** 2 * ((2 * d) ** 2 + 2 * d * d) * 16
+            draws = self.optimizer_trials * d * d * (48 * d + 16)
+            if kraus + draws > MAX_ROW_BYTES:
+                raise ValueError(
+                    f"d = {d} needs about {kraus / 1e9:.3g} GB of Kraus operators and "
+                    f"{draws / 1e9:.3g} GB of random draws per row, above the "
+                    f"{MAX_ROW_BYTES / 1e9:.3g} GB limit"
+                )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if any(not 0.0 <= v <= 1.0 for v in self.q_values + self.p_values):

@@ -89,9 +89,8 @@ def test_criterion_6_decoherence_null():
     dep = depolarizing_channel(2, 0.0)
     ch = switch_with_fixed_control(dep, dep, dephased)
     result = optimize_ensemble(ch, trials=100, seed=0)
-    # the closed form can round to a few ulps below 0
     closed = holevo_analytic(2, 0.0, dephased).chi
-    ok = result.chi <= 1e-9 and abs(closed) <= 1e-12
+    ok = result.chi <= 1e-9 and closed == 0.0
     detail = f"chi {result.chi:.2e}, closed form {closed:.2e}"
     report("6 dephased control transmits nothing", ok, detail)
 

@@ -74,20 +74,24 @@ def random_pure_ensemble(rng, d, m):
 
 
 def reference_optimize(ch, trials, seed):
-    """optimize_ensemble with each vector drawn on its own and each ensemble
-    evaluated on the Kraus route: the best of the orthonormal start and
-    ``trials`` restarts."""
+    """optimize_ensemble with each vector and each restart's weights drawn on
+    their own from the row stream, and each ensemble evaluated on the Kraus
+    route: the best of the orthonormal start and ``trials`` restarts."""
     d = ch.dim_in
-    best = orthonormal_chi(ch)
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        m = int(rng.integers(2, d * d + 1))
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, d * d + 1, size=trials)
+    ensembles = []
+    for m in sizes:
         vecs = []
         for _ in range(m):
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             vecs.append(v / np.linalg.norm(v))
-        probs = rng.dirichlet(np.ones(m))
-        best = max(best, holevo_of_ensemble(ch, probs, pure_states(vecs)))
+        ensembles.append(vecs)
+    best = orthonormal_chi(ch)
+    for vecs in ensembles:
+        # Dirichlet(1, ..., 1) weights, as i.i.d. Exp(1) variates over their sum
+        w = rng.standard_exponential(len(vecs))
+        best = max(best, holevo_of_ensemble(ch, w / w.sum(), pure_states(vecs)))
     return best
 
 
@@ -215,6 +219,12 @@ class TestHolevoAnalytic:
                 np.log2(d) + a.entropy_control - a.h_min, abs=1e-12
             )
 
+    @given(st.integers(2, 16), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_within_its_bounds(self, d, q, p, coherent):
+        a = holevo_analytic(d, q, ControlState(p, coherent=coherent))
+        assert 0.0 <= a.chi <= np.log2(d) + a.entropy_control
+
     def test_continuous_in_q(self):
         # steep but continuous near q=1; gaps shrink under grid refinement
         def max_gap(n):
@@ -295,7 +305,7 @@ class TestStackedHolevo:
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("seed", range(5))
-    def test_optimizer_keeps_the_per_vector_random_stream(self, d, seed):
+    def test_optimizer_keeps_the_row_stream(self, d, seed):
         # the orthonormal start carries nothing, so the best value is a drawn restart's
         ch = fourier_dephased(random_channel(seed, 3, d))
         assert orthonormal_chi(ch) == pytest.approx(0, abs=1e-12)
@@ -304,6 +314,11 @@ class TestStackedHolevo:
         assert optimize_ensemble(ch, trials=10, seed=seed).chi == pytest.approx(
             expected, abs=1e-13
         )
+
+    def test_seed_selects_the_restarts(self):
+        ch = fourier_dephased(random_channel(0, 3, 2))
+        chis = {optimize_ensemble(ch, trials=10, seed=seed).chi for seed in (0, 1)}
+        assert len(chis) == 2
 
 
 class TestTransferMatrix:
@@ -336,8 +351,7 @@ class TestOptimizer:
         ch = switch_with_fixed_control(dep, dep, dephased)
         res = optimize_ensemble(ch, trials=50, seed=0)
         assert res.chi <= 1e-9
-        # the closed form can round to a few ulps below 0
-        assert abs(holevo_analytic(2, 0.0, dephased).chi) <= 1e-12
+        assert holevo_analytic(2, 0.0, dephased).chi == 0.0
 
     def test_deterministic_in_seed(self):
         dep = depolarizing_channel(2, 0.0)

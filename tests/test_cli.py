@@ -234,6 +234,26 @@ class TestSweep:
         assert exc.value.code == 2
         assert "394 GB" in capsys.readouterr().err
 
+    def test_oversized_draws_usage_error(self):
+        # the restarts' draws are made up front: 10^7 of them at d = 8 would not fit
+        start = time.perf_counter()
+        code, err = usage_error(["sweep", "--dims", "8", "--q", "0", "--trials", "10000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "256 GB of random draws" in err
+        assert "Traceback" not in err
+
+    def test_zero_chi_cells(self):
+        # at q = 0 a control on one order leaves I/d: chi is 0, and chi_numeric
+        # is the round-off of whichever ensemble came out highest
+        cfg = SweepConfig(dims=(2, 3, 4), q_values=(0.0, 1.0), p_values=(0.0, 1.0),
+                          optimizer_trials=50)
+        zero = [r for r in run_sweep(cfg) if r.q == 0.0]
+        assert [(r.d, r.p) for r in zero] == [(d, p) for d in (2, 3, 4) for p in (0.0, 1.0)]
+        for r in zero:
+            assert r.chi_analytic == 0.0
+            assert 0.0 <= r.chi_numeric <= 1e-12
+
     @pytest.mark.parametrize("name, argv", [
         ("sweep-readme", "--dims 2,3,4 --q 0,0.25,0.5 --p 0.5 --trials 200 --seed 0"),
         ("sweep-offcenter", "--dims 2,3 --q 0,0.3 --p 0.2,0.7 --trials 20 --seed 0"),
