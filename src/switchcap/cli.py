@@ -22,7 +22,7 @@ CSV_COLUMNS = ("d", "q", "p", "chi_analytic", "chi_numeric", "entropy_control", 
 # where tracemalloc measured 297 MB. The optimizer then draws up to d^2
 # vectors per restart up front, at a peak of 48 d + 16 bytes a vector by
 # tracemalloc. Rows above the limit are refused up front: at 200 restarts,
-# d = 16 needs 1.66 GB and d = 17 needs 2.3 GB.
+# d = 16 needs 1.66 GB and d = 17 needs 2.38 GB.
 MAX_ROW_BYTES = 2 * 1024**3
 
 
