@@ -46,8 +46,9 @@ def switch_channel(n1: KrausChannel, n2: KrausChannel) -> KrausChannel:
     k1, k2 = n1.stacked(), n2.stacked()
     # operator (i, j) pairs K2_i with K1_j; axes are (x, control, y, control')
     w = np.zeros((len(k2), len(k1), d, 2, d, 2), dtype=complex)
-    w[:, :, :, 0, :, 0] = k2[:, None] @ k1[None]
-    w[:, :, :, 1, :, 1] = k1[None] @ k2[:, None]
+    # written in place: no (n, n, d, d) product temporaries
+    np.matmul(k2[:, None], k1[None], out=w[:, :, :, 0, :, 0])
+    np.matmul(k1[None], k2[:, None], out=w[:, :, :, 1, :, 1])
     return KrausChannel(2 * d, 2 * d, w.reshape(-1, 2 * d, 2 * d))
 
 

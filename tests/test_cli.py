@@ -9,6 +9,8 @@ import pkgutil
 import subprocess
 import sys
 import time
+import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -26,12 +28,12 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def sweep_csv(dims, qs, ps):
+def sweep_csv(dims, qs, ps, seed=0):
     """CSV printed by a one-trial sweep over the given grid lists."""
     out = io.StringIO()
     # --q=VALUES, because argparse reads a list that starts with -0.0 as an option
     argv = ["sweep", "--dims", ",".join(map(str, dims)), "--q=" + ",".join(map(repr, qs)),
-            "--p=" + ",".join(map(repr, ps)), "--trials", "1"]
+            "--p=" + ",".join(map(repr, ps)), "--trials", "1", "--seed", str(seed)]
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     return out.getvalue()
@@ -160,11 +162,34 @@ class TestSweep:
     @settings(max_examples=15, deadline=None)
     @given(dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4),
            qs=st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0]), min_size=1, max_size=4),
-           ps=st.lists(st.sampled_from([0.0, -0.0, 0.5, 0.7]), min_size=1, max_size=4))
-    def test_grid_order_and_repeats_property(self, dims, qs, ps):
+           ps=st.lists(st.sampled_from([0.0, -0.0, 0.5, 0.7, 1.0]), min_size=1, max_size=4),
+           seed=st.integers(0, 3))
+    def test_grid_order_and_repeats_property(self, dims, qs, ps, seed):
         # -0.0 is the grid value 0.0, and prints as 0 wherever it stands in the list
         unique = [sorted({v + 0 for v in values}) for values in (dims, qs, ps)]
-        assert sweep_csv(dims, qs, ps) == sweep_csv(*unique)
+        table = sweep_csv(dims, qs, ps, seed)
+        assert table == sweep_csv(*unique, seed)
+        # rows share no state: each is the one-row sweep of its (d, q, p)
+        singles = [sweep_csv([d], [q], [p], seed).splitlines()[1] for d, q, p in product(*unique)]
+        assert table.splitlines()[1:] == singles
+
+    def test_sweep_peaks_at_one_row(self):
+        # each row frees its Kraus stacks before the next row builds its own
+        def traced_peak(ps):
+            cfg = SweepConfig(dims=(8,), q_values=(0.0,), p_values=ps, optimizer_trials=1)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run_sweep(cfg)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one, two, three = map(traced_peak, [(0.5,), (0.3, 0.5), (0.3, 0.5, 0.7)])
+        assert max(two, three) <= 1.02 * one
+        estimate = sum(SweepConfig(dims=(8,), q_values=(0.0,), optimizer_trials=1).row_bytes(8))
+        assert one == pytest.approx(estimate, rel=0.1)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["sweep", "--dims", "2", "--q", "0,0.5", "--trials", "10", "--seed", "7"]
