@@ -2,9 +2,9 @@
 
 The brute-force path below rebuilds everything from raw operator sums: its
 own Weyl unitaries, its own Kraus list, and one stacked array of all
-(d^2 + 1)^2 switched operators W. Its output, the sum of W sigma W' over
-every pair, is contracted as two GEMMs: the stacked rows of W times sigma,
-then, with the pairs moved into the columns, times the stacked adjoints.
+(d^2 + 1)^2 switched operators W. The sum of W (x) conj(W) over every
+pair is one cached superoperator, so the output, the sum of W sigma W'
+over every pair, is one matrix-vector product with vec(sigma).
 It deliberately shares nothing with the channel/switch modules beyond the
 qmat primitives, so agreement between the two paths is meaningful.
 
@@ -69,14 +69,16 @@ def _weyl_ops(d: int) -> list[np.ndarray]:
 
 
 # The suites call the oracle many times in a row at one (d, q), so the last
-# operator stacks are kept; they are read-only because every caller shares them.
+# stack and superoperator are kept; they are read-only because every caller
+# shares them.
 @functools.lru_cache(maxsize=1)
 def _switch_kraus(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     """The (d^2+1)^2 switched Kraus operators of two noise-q depolarizers.
 
     Operator (i, j) is K_i K_j (x) |0><0| + K_j K_i (x) |1><1|. Returns the
-    read-only (n^2, 2d, 2d) stack W and the read-only (n^2 * 2d, 2d) array
-    of adjoints, with conj(W_k[b, j]) at row (k, j) and column b.
+    read-only (n^2, 2d, 2d) stack W and the read-only (4d^2, 4d^2)
+    superoperator sum_k W_k (x) conj(W_k), whose entry ((a, b), (i, j)) is
+    sum_k W_k[a, i] conj(W_k[b, j]), built as one GEMM over the stack.
     """
     kraus = np.array(
         [np.sqrt(q) * np.eye(d, dtype=complex)]
@@ -88,9 +90,12 @@ def _switch_kraus(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     w[:, :, :, 1, :, 1] = kraus[None, :] @ kraus[:, None]
     w.flags.writeable = False
     w = w.reshape(n * n, 2 * d, 2 * d)
-    adjoint = w.conj().transpose(0, 2, 1).reshape(-1, 2 * d)
-    adjoint.flags.writeable = False
-    return w, adjoint
+    flat = w.reshape(n * n, -1)
+    # rows (a, i) and columns (b, j), regrouped as rows (a, b) and columns (i, j)
+    pairs = (flat.T @ flat.conj()).reshape((2 * d,) * 4).transpose(0, 2, 1, 3)
+    pairs = pairs.reshape(4 * d * d, 4 * d * d)
+    pairs.flags.writeable = False
+    return w, pairs
 
 
 def brute_force_switch_output(
@@ -98,11 +103,8 @@ def brute_force_switch_output(
 ) -> DensityMatrix:
     """Sum of W sigma W' over all (d^2+1)^2 Kraus pairs of the switched channel."""
     sigma = tensor(rho.matrix, ctrl.density())
-    w, adjoint = _switch_kraus(d, q)
-    # rows (k, a) of W_k sigma, regrouped as row a, column (k, j)
-    left = (w.reshape(-1, 2 * d) @ sigma).reshape(-1, 2 * d, 2 * d)
-    out = left.transpose(1, 0, 2).reshape(2 * d, -1) @ adjoint
-    return DensityMatrix(out)
+    _, pairs = _switch_kraus(d, q)
+    return DensityMatrix((pairs @ sigma.reshape(-1)).reshape(2 * d, 2 * d))
 
 
 def reference_constants(dps: int = 50) -> dict[str, float]:
@@ -186,9 +188,11 @@ def _marginals():
 def _cptp():
     for d in (2, 3, 4):
         for q in (0.0, 0.4, 1.0):
-            w, _ = _switch_kraus(d, q)
+            w, pairs = _switch_kraus(d, q)
             total = (w.conj().transpose(0, 2, 1) @ w).sum(0)
-            dev = float(np.abs(total - np.eye(2 * d)).max())
+            # the superoperator the oracle applies, traced over its output (a, a)
+            traced = pairs.reshape(2 * d, 2 * d, -1).trace().reshape(2 * d, 2 * d)
+            dev = float(np.abs(np.stack([total, traced]) - np.eye(2 * d)).max())
             yield dev, dict(d=d, q=q, p=0.5, seed=0)
 
 
@@ -208,7 +212,8 @@ def verify_equivalence(suite: str) -> ComparisonReport:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     worst, where, count = 0.0, {}, 0
     for count, (dev, params) in enumerate(SUITES[suite](), start=1):
-        # the first NaN is kept as the worst case, so that the verdict fails
-        if not (math.isnan(worst) or dev <= worst):
+        # the first instance stands until one deviates more, so that an all-zero
+        # suite still names one; the first NaN is kept, so that the verdict fails
+        if count == 1 or not (math.isnan(worst) or dev <= worst):
             worst, where = dev, params
     return ComparisonReport(suite, worst, count, where)

@@ -353,6 +353,22 @@ class TestVerify:
         assert report["instances_tested"] == len(devs)
         assert report["worst_case_parameters"]["seed"] == worst
 
+    def test_all_zero_suite_names_its_first_instance(self, capsys, monkeypatch):
+        def suite():
+            for seed in range(3):
+                yield 0.0, dict(d=2, q=0.0, p=0.5, seed=seed)
+
+        monkeypatch.setitem(cli.oracle.SUITES, "cptp", suite)
+        code, out = run(capsys, "verify", "cptp", "--tol", "0")
+        assert code == 0
+        assert out.endswith("over 3 instances (worst at d=2, q=0.0, p=0.5, seed=0)\n")
+
+        code, out = run(capsys, "verify", "cptp", "--tol", "0", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["max_abs_deviation"] == 0.0
+        assert report["worst_case_parameters"] == dict(d=2, q=0.0, p=0.5, seed=0)
+
 
 class TestRendering:
     def test_twelve_significant_digits(self):

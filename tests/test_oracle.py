@@ -82,13 +82,22 @@ class TestBruteForce:
         assert np.abs(brute - closed).max() <= 1e-12
 
     def test_cached_stacks_are_read_only_and_shared(self):
-        w, adjoint = _switch_kraus(3, 0.4)
-        assert w.shape == (100, 6, 6) and adjoint.shape == (600, 6)
-        for array in (w, adjoint):
+        w, pairs = _switch_kraus(3, 0.4)
+        assert w.shape == (100, 6, 6) and pairs.shape == (36, 36)
+        for array in (w, pairs):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
         again = _switch_kraus(3, 0.4)
-        assert again[0] is w and again[1] is adjoint
+        assert again[0] is w and again[1] is pairs
+
+    @pytest.mark.parametrize("d, q", itertools.product((2, 3, 4), (0.0, 0.4, 1.0)))
+    def test_superoperator_applies_the_pairwise_sum(self, d, q):
+        # a non-product sigma, so that a swap of (a, b, i, j) axes cannot cancel out
+        sigma = random_density_matrix(2 * d, d).matrix
+        w, pairs = _switch_kraus(d, q)
+        expected = sum(wk @ sigma @ wk.conj().T for wk in w)
+        applied = (pairs @ sigma.reshape(-1)).reshape(2 * d, 2 * d)
+        assert np.abs(applied - expected).max() <= 1e-13
 
 
 class TestReferenceConstants:
