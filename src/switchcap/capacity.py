@@ -73,20 +73,12 @@ def holevo_analytic(d: int, q: float, ctrl: ControlState) -> AnalyticCapacity:
     control. H_min, the minimum output entropy, is attained on pure inputs."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    hc = entropy_bits(np.linalg.eigvalsh(reduced_control_state(d, q, ctrl).matrix))
+    hc = entropy_bits(reduced_control_state(d, q, ctrl).spectrum)
     # a pure input has eigenvalues 1, 0, ..., 0
     hm = entropy_bits(switched_spectrum(d, q, ctrl, np.eye(d)[0]))
     chi = np.log2(d) + hc - hm
     # a zero chi can cancel to a few ulps below 0: round-off in [-TOL_PSD, 0) is 0
     return AnalyticCapacity(0.0 if -TOL_PSD <= chi < 0 else chi, hc, hm)
-
-
-def _holevo(probs: np.ndarray, outputs: np.ndarray) -> float:
-    """H(sum_x p_x out_x) - sum_x p_x H(out_x) for an (m, n, n) output stack;
-    the average joins the stack for one ``eigvalsh`` and one entropy call."""
-    avg = (probs[:, None, None] * outputs).sum(axis=0)
-    h = entropy_bits(np.linalg.eigvalsh(np.concatenate((outputs, avg[None]))))
-    return float(h[-1] - probs @ h[:-1])
 
 
 def _transfer_matrix(ch: KrausChannel) -> np.ndarray:
@@ -104,21 +96,23 @@ def _transfer_matrix(ch: KrausChannel) -> np.ndarray:
 
 
 def _chi_pure(transfer: np.ndarray, dim_out: int, probs, vecs) -> float:
-    """Holevo quantity of a pure-state ensemble via the transfer matrix.
+    """Holevo quantity H(sum_x p_x out_x) - sum_x p_x H(out_x) of a pure-state
+    ensemble via the transfer matrix.
 
     ``vecs`` is an (m, d) array of unit vectors and ``probs`` an array of m
-    weights summing to 1; zero-weight vectors are dropped.
+    weights summing to 1; zero-weight vectors are dropped. The average output
+    joins the output stack for one ``eigvalsh`` and one entropy call.
     """
     keep = probs != 0.0
-    vecs = vecs[keep]
+    probs, vecs = probs[keep], vecs[keep]
     projectors = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(len(vecs), -1)
     outputs = (projectors @ transfer.T).reshape(-1, dim_out, dim_out)
-    return _holevo(probs[keep], outputs)
+    avg = (probs[:, None, None] * outputs).sum(axis=0)
+    h = entropy_bits(np.linalg.eigvalsh(np.concatenate((outputs, avg[None]))))
+    return float(h[-1] - probs @ h[:-1])
 
 
-def optimize_ensemble(
-    ch: KrausChannel, trials: int = 200, seed: int = 0
-) -> OptimizerResult:
+def optimize_ensemble(ch: KrausChannel, trials: int, seed: int) -> OptimizerResult:
     """Best of the uniform orthonormal ensemble and ``trials`` random ones.
 
     Each random ensemble has 2 to d^2 pure states and Dirichlet(1, ..., 1)

@@ -21,29 +21,31 @@ class KrausChannel:
 
     ``kraus_ops`` is a sequence of ``dim_out x dim_in`` operators or one
     ``(n, dim_out, dim_in)`` array; it is kept as one read-only stack, with
-    ``kraus_ops`` a tuple of views into it. Completeness (sum K'K = I) is
-    the caller's responsibility. Equality and hashing are by identity.
+    ``kraus_ops`` a tuple of views into it, and both dimensions are read from
+    the stack's shape. Completeness (sum K'K = I) is the caller's
+    responsibility. Equality and hashing are by identity.
     """
 
-    dim_in: int
-    dim_out: int
     kraus_ops: tuple[np.ndarray, ...]
+    dim_in: int = field(init=False)
+    dim_out: int = field(init=False)
     _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.kraus_ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        shape = (self.dim_out, self.dim_in)
         try:
             # a view, so that an array passed in stays writeable for its owner
             stack = np.asarray(self.kraus_ops, dtype=complex).view()
         except ValueError:  # operators of unequal shapes
             stack = None
-        if stack is None or stack.ndim != 3 or stack.shape[1:] != shape:
-            raise DimensionMismatchError(f"Kraus operators must all have shape {shape}")
+        if stack is None or stack.ndim != 3:
+            raise DimensionMismatchError("Kraus operators must be matrices of one shape")
         stack.flags.writeable = False
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "kraus_ops", tuple(stack))
+        object.__setattr__(self, "dim_out", stack.shape[1])
+        object.__setattr__(self, "dim_in", stack.shape[2])
 
     def stacked(self) -> np.ndarray:
         """All Kraus operators as one read-only (n, dim_out, dim_in) array."""
@@ -74,5 +76,5 @@ def depolarizing_channel(d: int, q: float) -> KrausChannel:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     ops = [np.sqrt(q) * np.eye(d, dtype=complex)]
     ops.extend(np.sqrt(1.0 - q) / d * u for u in weyl_basis(d))
-    return KrausChannel(d, d, tuple(ops))
+    return KrausChannel(tuple(ops))
 

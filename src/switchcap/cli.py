@@ -136,11 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated dimensions, e.g. 2,3,4")
     sweep.add_argument("--q", type=_float_list, required=True,
                        help="comma-separated noise parameters in [0,1]")
-    sweep.add_argument("--p", type=_float_list, default=(0.5,),
-                       help="comma-separated control weights (default 0.5)")
-    sweep.add_argument("--trials", type=int, default=200,
+    sweep.add_argument("--p", type=_float_list, default=SweepConfig.p_values,
+                       help="comma-separated control weights (default "
+                       f"{','.join(map(str, SweepConfig.p_values))})")
+    sweep.add_argument("--trials", type=int, default=SweepConfig.optimizer_trials,
                        help="optimizer random restarts per row")
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=int, default=SweepConfig.seed)
     sweep.add_argument("--out", default=None, help="output path (default stdout)")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -35,11 +35,13 @@ class DensityMatrix:
 
     Validation happens at construction: finite entries, Hermiticity within
     ``TOL_HERM``, unit trace within ``TOL_TRACE``, and eigenvalues >= -``TOL_PSD``.
+    Those eigenvalues are kept as ``spectrum``, descending and read-only.
     Equality and hashing are by identity, since an array has no truth value.
     """
 
     matrix: np.ndarray
     dim: int = field(init=False)
+    spectrum: np.ndarray = field(init=False)
 
     def __post_init__(self):
         m = _as_complex(self.matrix)
@@ -58,8 +60,10 @@ class DensityMatrix:
                 f"matrix has negative eigenvalue {evals.min():.3e}"
             )
         m.setflags(write=False)
+        evals.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", m.shape[0])
+        object.__setattr__(self, "spectrum", evals[::-1])
 
 
 def tensor(a, b) -> np.ndarray:
@@ -87,14 +91,6 @@ def partial_trace(m: DensityMatrix, dim_a: int, dim_b: int, keep: str) -> Densit
     else:
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
     return DensityMatrix(reduced)
-
-
-def hermitian_spectrum(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, descending."""
-    m = _as_complex(m)
-    if np.abs(m - m.conj().T).max() > TOL_HERM:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(m)[::-1]
 
 
 def entropy_bits(eigenvalues) -> float | np.ndarray:

@@ -49,7 +49,7 @@ def switch_channel(n1: KrausChannel, n2: KrausChannel) -> KrausChannel:
     # written in place: no (n, n, d, d) product temporaries
     np.matmul(k2[:, None], k1[None], out=w[:, :, :, 0, :, 0])
     np.matmul(k1[None], k2[:, None], out=w[:, :, :, 1, :, 1])
-    return KrausChannel(2 * d, 2 * d, w.reshape(-1, 2 * d, 2 * d))
+    return KrausChannel(w.reshape(-1, 2 * d, 2 * d))
 
 
 def switch_with_fixed_control(
@@ -67,7 +67,7 @@ def switch_with_fixed_control(
     vecs = [amps] if ctrl.coherent else np.diag(amps)[amps > 0]
     embeds = np.stack([tensor(np.eye(d), v.reshape(2, 1)) for v in vecs])
     ops = (sw.stacked()[:, None] @ embeds).reshape(-1, 2 * d, d)
-    return KrausChannel(d, 2 * d, ops)
+    return KrausChannel(ops)
 
 
 def depolarizing_switch_terms(

@@ -29,7 +29,7 @@ def random_kraus(rng, n, dim_out, dim_in):
 
 
 def identity_channel(d):
-    return KrausChannel(d, d, (np.eye(d, dtype=complex),))
+    return KrausChannel((np.eye(d, dtype=complex),))
 
 
 def dephasing_channel(d):
@@ -37,7 +37,7 @@ def dephasing_channel(d):
     projectors = tuple(
         np.outer(np.eye(d, dtype=complex)[k], np.eye(d)[k]) for k in range(d)
     )
-    return KrausChannel(d, d, projectors)
+    return KrausChannel(projectors)
 
 
 def compose_serial(first, second):
@@ -45,7 +45,7 @@ def compose_serial(first, second):
     if second.dim_in != first.dim_out:
         raise DimensionMismatchError(f"serial mismatch: {first.dim_out} -> {second.dim_in}")
     ops = tuple(k2 @ k1 for k2 in second.kraus_ops for k1 in first.kraus_ops)
-    return KrausChannel(first.dim_in, second.dim_out, ops)
+    return KrausChannel(ops)
 
 
 def cptp_deviation(ch):

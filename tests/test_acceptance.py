@@ -131,7 +131,7 @@ def test_criterion_8_structural_suite():
         g = rng.standard_normal((nops, nops)) + 1j * rng.standard_normal((nops, nops))
         v, _ = np.linalg.qr(g)
         mixed = KrausChannel(
-            2, 2, tuple(sum(v[i, j] * dep.kraus_ops[j] for j in range(nops)) for i in range(nops))
+            tuple(sum(v[i, j] * dep.kraus_ops[j] for j in range(nops)) for i in range(nops))
         )
         rho = random_density_matrix(2, seed)
         a = switch_apply(dep, dep, rho, PLUS).matrix

@@ -15,7 +15,6 @@ from switchcap.qmat import (
     DensityMatrix,
     DimensionMismatchError,
     entropy_bits,
-    hermitian_spectrum,
 )
 from switchcap.switch import (
     ControlState,
@@ -43,7 +42,7 @@ def random_channel(seed, n, d):
     with S = sum K'K, so that the Kraus sum preserves the trace."""
     ops = random_kraus(np.random.default_rng(seed), n, d, d)
     w, u = np.linalg.eigh(np.einsum("nji,njk->ik", ops.conj(), ops))
-    return KrausChannel(d, d, ops @ (u / np.sqrt(w)) @ u.conj().T)
+    return KrausChannel(ops @ (u / np.sqrt(w)) @ u.conj().T)
 
 
 def fourier_dephased(ch):
@@ -53,7 +52,7 @@ def fourier_dephased(ch):
     f = np.fft.fft(np.eye(d)) / np.sqrt(d)
     projectors = np.einsum("ik,jk->kij", f, f.conj())
     ops = (ch.stacked()[:, None] @ projectors).reshape(-1, ch.dim_out, d)
-    return KrausChannel(d, ch.dim_out, ops)
+    return KrausChannel(ops)
 
 
 def pure_states(vecs):
@@ -99,7 +98,7 @@ class TestReducedControlState:
     def test_d2_q0_eigenvalues(self):
         rc = reduced_control_state(2, 0.0, PLUS)
         np.testing.assert_allclose(
-            hermitian_spectrum(rc.matrix), (5 / 8, 3 / 8), atol=1e-12
+            rc.spectrum, (5 / 8, 3 / 8), atol=1e-12
         )
 
     def test_q1_is_pure_control(self):
@@ -138,7 +137,7 @@ class TestSwitchedSpectrum:
     def test_sums_to_one(self, d, q):
         for seed in range(5):
             rho = ginibre(d, seed)
-            spec = switched_spectrum(d, q, PLUS, hermitian_spectrum(rho.matrix))
+            spec = switched_spectrum(d, q, PLUS, rho.spectrum)
             assert abs(spec.sum() - 1.0) <= 1e-12
 
     @given(
@@ -151,9 +150,9 @@ class TestSwitchedSpectrum:
     def test_matches_eigensolver(self, seed, d, q, p):
         rho = ginibre(d, seed)
         ctrl = ControlState(p)
-        predicted = switched_spectrum(d, q, ctrl, hermitian_spectrum(rho.matrix))
+        predicted = switched_spectrum(d, q, ctrl, rho.spectrum)
         js = switched_depolarizing_analytic(d, q, ctrl, rho)
-        solved = hermitian_spectrum(js.matrix)
+        solved = js.spectrum
         np.testing.assert_allclose(predicted, solved, atol=1e-10)
 
     @given(
@@ -165,7 +164,7 @@ class TestSwitchedSpectrum:
     @settings(max_examples=30, deadline=None)
     def test_returns_descending_array(self, seed, d, q, p):
         # the input order does not matter: an ascending spectrum is passed
-        lam = hermitian_spectrum(ginibre(d, seed).matrix)[::-1]
+        lam = ginibre(d, seed).spectrum[::-1]
         spec = switched_spectrum(d, q, ControlState(p), lam)
         assert isinstance(spec, np.ndarray) and spec.shape == (2 * d,)
         assert np.all(spec[:-1] >= spec[1:])
@@ -191,7 +190,7 @@ class TestMinimumEntropy:
             h_min = holevo_analytic(3, 0.2, ctrl).h_min
             for seed in range(20):
                 rho = ginibre(3, seed)
-                spec = switched_spectrum(3, 0.2, ctrl, hermitian_spectrum(rho.matrix))
+                spec = switched_spectrum(3, 0.2, ctrl, rho.spectrum)
                 assert entropy_bits(spec) >= h_min - 1e-12
 
 
@@ -326,7 +325,7 @@ class TestTransferMatrix:
     @settings(max_examples=30, deadline=None)
     def test_equals_kronecker_sum(self, seed, n, shape):
         ops = random_kraus(np.random.default_rng(seed), n, *shape)
-        ch = KrausChannel(shape[1], shape[0], ops)
+        ch = KrausChannel(ops)
         reference = sum(np.kron(k, k.conj()) for k in ops)
         np.testing.assert_allclose(_transfer_matrix(ch), reference, rtol=0, atol=1e-14)
 
@@ -362,5 +361,5 @@ class TestOptimizer:
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            optimize_ensemble(identity_channel(2), trials=0)
+            optimize_ensemble(identity_channel(2), trials=0, seed=0)
 

@@ -26,8 +26,8 @@ class TestKrausChannel:
     @settings(max_examples=20, deadline=None)
     def test_tuple_and_array_give_the_same_channel(self, seed, n, shape):
         ops = random_kraus(np.random.default_rng(seed), n, *shape)
-        a = KrausChannel(shape[1], shape[0], tuple(ops))
-        b = KrausChannel(shape[1], shape[0], ops)
+        a = KrausChannel(tuple(ops))
+        b = KrausChannel(ops)
         assert np.array_equal(a.stacked(), b.stacked())
         assert len(a.kraus_ops) == len(b.kraus_ops) == n
         for ka, kb, k in zip(a.kraus_ops, b.kraus_ops, ops):
@@ -35,28 +35,27 @@ class TestKrausChannel:
 
     def test_stack_is_kept_read_only_without_a_copy(self):
         ops = random_kraus(np.random.default_rng(0), 3, 2, 2)
-        ch = KrausChannel(2, 2, ops)
+        ch = KrausChannel(ops)
         assert ch.stacked() is ch.stacked()
         assert np.shares_memory(ch.stacked(), ops)
         assert np.shares_memory(ch.kraus_ops[1], ops)
         assert not ch.stacked().flags.writeable
         assert ops.flags.writeable
 
-    @pytest.mark.parametrize("ops", [
-        (I2, np.eye(3)),
-        (np.ones((2, 3)),),
-        np.zeros((4, 2, 3)),
-        np.eye(2),
-        np.zeros((2, 2, 2, 1)),
-    ])
+    @pytest.mark.parametrize("ops", [(I2, np.eye(3)), np.eye(2), np.zeros((2, 2, 2, 1))])
     def test_bad_shape(self, ops):
         with pytest.raises(DimensionMismatchError):
-            KrausChannel(2, 2, ops)
+            KrausChannel(ops)
+
+    @pytest.mark.parametrize("ops", [(np.ones((2, 3)),), np.zeros((4, 2, 3))])
+    def test_dimensions_come_from_the_stack_shape(self, ops):
+        ch = KrausChannel(ops)
+        assert (ch.dim_in, ch.dim_out) == (3, 2)
 
     @pytest.mark.parametrize("ops", [(), [], np.zeros((0, 2, 2))])
     def test_empty(self, ops):
         with pytest.raises(ValueError, match="at least one"):
-            KrausChannel(2, 2, ops)
+            KrausChannel(ops)
 
     def test_equality_and_hash_are_by_identity(self):
         a, b = depolarizing_channel(2, 0.3), depolarizing_channel(2, 0.3)
@@ -173,7 +172,7 @@ class TestCptp:
         assert cptp_deviation(depolarizing_channel(4, 0.3)) <= 1e-12
 
     def test_scaled_identity_is_not(self):
-        assert cptp_deviation(KrausChannel(2, 2, (2 * I2,))) == pytest.approx(3.0)
+        assert cptp_deviation(KrausChannel((2 * I2,))) == pytest.approx(3.0)
 
 
 class TestCompose:

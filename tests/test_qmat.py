@@ -10,7 +10,6 @@ from switchcap.qmat import (
     DimensionMismatchError,
     InvalidStateError,
     entropy_bits,
-    hermitian_spectrum,
     partial_trace,
     tensor,
 )
@@ -94,40 +93,38 @@ class TestPartialTrace:
 
 
 class TestSpectrum:
-    def test_identity(self):
-        assert hermitian_spectrum(np.eye(3)).tolist() == [1.0, 1.0, 1.0]
-
-    def test_pauli_x(self):
-        np.testing.assert_allclose(hermitian_spectrum(SX), (1.0, -1.0))
+    """``DensityMatrix.spectrum``: the eigenvalues its PSD check computed."""
 
     def test_control_marginal_eigenvalues(self):
         # 1/2 I + (1/8) sigma_x has eigenvalues 5/8 and 3/8
         m = np.eye(2) / 2 + SX / 8
-        np.testing.assert_allclose(
-            hermitian_spectrum(m), (5 / 8, 3 / 8), atol=1e-12
-        )
+        np.testing.assert_allclose(DensityMatrix(m).spectrum, (5 / 8, 3 / 8), atol=1e-12)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_spectrum(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    @given(st.integers(0, 500))
+    @given(st.integers(0, 500), st.integers(1, 6))
     @settings(max_examples=30)
-    def test_sums_to_trace(self, seed):
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        h = g + g.conj().T
-        spec = hermitian_spectrum(h)
-        assert abs(spec.sum() - h.trace().real) < 1e-10
+    def test_sums_to_trace(self, seed, n):
+        assert abs(ginibre(n, seed).spectrum.sum() - 1.0) < 1e-12
 
     @given(st.integers(0, 500), st.integers(1, 6))
     @settings(max_examples=30)
     def test_returns_descending_array(self, seed, n):
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        spec = hermitian_spectrum(g + g.conj().T)
+        spec = ginibre(n, seed).spectrum
         assert isinstance(spec, np.ndarray) and spec.shape == (n,)
         assert np.all(spec[:-1] >= spec[1:])
+
+    @given(st.integers(0, 500), st.integers(1, 6))
+    @settings(max_examples=30)
+    def test_is_the_eigensolver_output(self, seed, n):
+        rho = ginibre(n, seed)
+        assert rho.spectrum.tobytes() == np.linalg.eigvalsh(rho.matrix)[::-1].tobytes()
+
+    @given(st.integers(0, 500), st.integers(1, 6))
+    @settings(max_examples=10)
+    def test_is_read_only(self, seed, n):
+        rho = ginibre(n, seed)
+        for array in (rho.matrix, rho.spectrum):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 def entropy(m):

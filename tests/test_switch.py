@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from switchcap.channels import KrausChannel, depolarizing_channel
-from switchcap.qmat import DensityMatrix, hermitian_spectrum, partial_trace, tensor
+from switchcap.qmat import DensityMatrix, partial_trace, tensor
 from switchcap.switch import (
     ControlState,
     depolarizing_switch_terms,
@@ -106,8 +106,8 @@ class TestStackedSwitch:
             n1 = n2 = depolarizing_channel(d, q)
         else:
             rng = np.random.default_rng(seed)
-            n1 = KrausChannel(d, d, random_kraus(rng, 1 + seed % 4, d, d))
-            n2 = KrausChannel(d, d, random_kraus(rng, 1 + seed % 3, d, d))
+            n1 = KrausChannel(random_kraus(rng, 1 + seed % 4, d, d))
+            n2 = KrausChannel(random_kraus(rng, 1 + seed % 3, d, d))
         ctrl = ControlState(p, coherent=coherent)
         # == compares numbers, so a -0.0 from the pairwise sums equals 0.0
         assert np.array_equal(switch_channel(n1, n2).stacked(), pairwise_switch(n1, n2))
@@ -151,7 +151,7 @@ class TestSwitchApply:
         mixed_ops = tuple(
             sum(v[i, j] * dep.kraus_ops[j] for j in range(n)) for i in range(n)
         )
-        mixed = KrausChannel(2, 2, mixed_ops)
+        mixed = KrausChannel(mixed_ops)
         rho = ginibre(2, seed + 1)
         a = switch_apply(dep, dep, rho, PLUS).matrix
         b = switch_apply(mixed, mixed, rho, PLUS).matrix
@@ -260,7 +260,7 @@ class TestSwitchTerms:
             lambda: depolarizing_switch_terms(2, q, ctrl),
             lambda: switched_depolarizing_analytic(2, q, ctrl, rho),
             lambda: reduced_control_state(2, q, ctrl),
-            lambda: switched_spectrum(2, q, ctrl, hermitian_spectrum(rho.matrix)),
+            lambda: switched_spectrum(2, q, ctrl, rho.spectrum),
         )
         if ctrl.coherent:  # a bad q
             for call in calls:
@@ -275,7 +275,7 @@ class TestSwitchTerms:
             (tensor(np.eye(2), a) + tensor(rho.matrix, b), kraus.matrix),
             (calls[1]().matrix, kraus.matrix),
             (calls[2]().matrix, partial_trace(kraus, 2, 2, "B").matrix),
-            (calls[3](), hermitian_spectrum(kraus.matrix)),
+            (calls[3](), kraus.spectrum),
         ):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
