@@ -42,7 +42,13 @@ class TestKrausChannel:
         assert not ch.stacked().flags.writeable
         assert ops.flags.writeable
 
-    @pytest.mark.parametrize("ops", [(I2, np.eye(3)), np.eye(2), np.zeros((2, 2, 2, 1))])
+    @pytest.mark.parametrize("ops", [
+        (I2, np.eye(3)),
+        (np.ones((2, 3)), np.ones((3, 2))),
+        (np.ones(2), np.ones(2)),
+        np.eye(2),
+        np.zeros((2, 2, 2, 1)),
+    ])
     def test_bad_shape(self, ops):
         with pytest.raises(DimensionMismatchError):
             KrausChannel(ops)
