@@ -59,13 +59,15 @@ def switched_spectrum(d: int, q: float, ctrl: ControlState, rho_spectrum) -> np.
     """Eigenvalues of the joint output, descending, from those of the input.
 
     In the eigenbasis of rho the output I (x) A + rho (x) B splits into one
-    2x2 control block A + lam B per input eigenvalue lam.
+    2x2 control block A + lam B per input eigenvalue lam. A ``(..., d)`` stack
+    of input spectra gives a ``(..., 2d)`` stack of output spectra.
     """
     lam = np.asarray(rho_spectrum, dtype=float)
-    if lam.shape != (d,):
+    if lam.shape[-1:] != (d,):
         raise DimensionMismatchError(f"expected {d} eigenvalues, got {lam.shape}")
     a, b = depolarizing_switch_terms(d, q, ctrl)
-    return np.sort(np.linalg.eigvalsh(a + lam[:, None, None] * b), axis=None)[::-1]
+    blocks = np.linalg.eigvalsh(a + lam[..., None, None] * b)
+    return np.sort(blocks.reshape(lam.shape[:-1] + (2 * d,)), axis=-1)[..., ::-1]
 
 
 def holevo_analytic(d: int, q: float, ctrl: ControlState) -> AnalyticCapacity:

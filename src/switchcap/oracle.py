@@ -101,10 +101,12 @@ def _switch_kraus(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
 def brute_force_switch_output(
     d: int, q: float, ctrl: ControlState, rho: DensityMatrix
 ) -> DensityMatrix:
-    """Sum of W sigma W' over all (d^2+1)^2 Kraus pairs of the switched channel."""
+    """Sum of W sigma W' over all (d^2+1)^2 Kraus pairs of the switched channel;
+    a stack of states gives the stack of their outputs."""
     sigma = tensor(rho.matrix, ctrl.density())
     _, pairs = _switch_kraus(d, q)
-    return DensityMatrix((pairs @ sigma.reshape(-1)).reshape(2 * d, 2 * d))
+    flat = sigma.reshape(sigma.shape[:-2] + (-1,))
+    return DensityMatrix((flat @ pairs.T).reshape(sigma.shape))
 
 
 def reference_constants(dps: int = 50) -> dict[str, float]:
@@ -131,28 +133,30 @@ def reference_constants(dps: int = 50) -> dict[str, float]:
 
 def _analytic_vs_brute():
     for d in (2, 3, 4):
-        states = [random_density_matrix(d, seed) for seed in range(20)]
+        ginibre = [random_density_matrix(d, seed).matrix for seed in range(20)]
+        states = DensityMatrix(np.stack(ginibre))
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
             for p in (0.0, 0.3, 0.5, 1.0):
                 ctrl = ControlState(p)
-                for seed, rho in enumerate(states):
-                    brute = brute_force_switch_output(d, q, ctrl, rho)
-                    analytic = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
-                    dev = float(np.abs(brute.matrix - analytic.matrix).max())
-                    yield dev, dict(d=d, q=q, p=p, seed=seed)
+                brute = brute_force_switch_output(d, q, ctrl, states)
+                analytic = switch.switched_depolarizing_analytic(d, q, ctrl, states)
+                devs = np.abs(brute.matrix - analytic.matrix).max(axis=(1, 2))
+                for seed, dev in enumerate(devs):
+                    yield float(dev), dict(d=d, q=q, p=p, seed=seed)
 
 
 def _spectrum_vs_eigensolver():
     for d in (2, 3, 4, 5):
-        states = [random_density_matrix(d, seed) for seed in range(10)]
+        ginibre = [random_density_matrix(d, seed).matrix for seed in range(10)]
+        states = DensityMatrix(np.stack(ginibre))
         for q in (0.0, 0.3, 0.7, 1.0):
             for p in (0.2, 0.5, 0.7):
                 ctrl = ControlState(p)
-                for seed, rho in enumerate(states):
-                    predicted = capacity.switched_spectrum(d, q, ctrl, rho.spectrum)
-                    out = switch.switched_depolarizing_analytic(d, q, ctrl, rho)
-                    dev = float(np.abs(predicted - out.spectrum).max())
-                    yield dev, dict(d=d, q=q, p=p, seed=seed)
+                predicted = capacity.switched_spectrum(d, q, ctrl, states.spectrum)
+                out = switch.switched_depolarizing_analytic(d, q, ctrl, states)
+                devs = np.abs(predicted - out.spectrum).max(axis=1)
+                for seed, dev in enumerate(devs):
+                    yield float(dev), dict(d=d, q=q, p=p, seed=seed)
 
 
 def _chi_vs_optimizer():
@@ -194,6 +198,32 @@ def _cptp():
             yield dev, dict(d=d, q=q, p=0.5, seed=0)
 
 
+def _covariance_deviations(superop: np.ndarray, d: int) -> np.ndarray:
+    """max |[S, V (x) conj(V)]| for each V = U (x) I_2, U first each of the d^2
+    Weyl unitaries and then 5 Haar-random ones, as one stack.
+
+    S acts on row-major vec(sigma) of target (x) control, where conjugation by
+    V is V (x) conj(V), so every entry is 0 when the channel is U-covariant:
+    the hypothesis of Holevo's covariant-channel theorem (quant-ph/0212025).
+    """
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    unitary, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    haar = unitary * (phases / np.abs(phases))[:, None, :]
+    v = tensor(np.concatenate([_weyl_ops(d), haar]), np.eye(2))
+    conj_v = tensor(v, v.conj())
+    return np.abs(superop @ conj_v - conj_v @ superop).max(axis=(1, 2))
+
+
+def _covariance():
+    for d in (2, 3, 4):
+        for q in (0.0, 0.4, 1.0):
+            devs = _covariance_deviations(_switch_kraus(d, q)[1], d)
+            for k, dev in enumerate(devs):
+                yield float(dev), dict(d=d, q=q, unitary=k)
+
+
 # Each suite yields (deviation, parameters) over its fixed grid.
 SUITES = {
     "analytic-vs-brute": _analytic_vs_brute,
@@ -201,6 +231,7 @@ SUITES = {
     "chi-vs-optimizer": _chi_vs_optimizer,
     "marginals": _marginals,
     "cptp": _cptp,
+    "covariance": _covariance,
 }
 
 

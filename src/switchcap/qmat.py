@@ -31,10 +31,11 @@ def _as_complex(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Unit-trace positive-semidefinite Hermitian matrix.
+    """Unit-trace positive-semidefinite Hermitian matrix, or a stack of them.
 
-    Validation happens at construction: finite entries, Hermiticity within
-    ``TOL_HERM``, unit trace within ``TOL_TRACE``, and eigenvalues >= -``TOL_PSD``.
+    Validation happens at construction, on every member of a ``(..., n, n)``
+    stack: finite entries, Hermiticity within ``TOL_HERM``, unit trace within
+    ``TOL_TRACE``, and eigenvalues >= -``TOL_PSD``, from one stacked ``eigvalsh``.
     Those eigenvalues are kept as ``spectrum``, descending and read-only.
     Equality and hashing are by identity, since an array has no truth value.
     """
@@ -45,13 +46,15 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _as_complex(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidStateError(f"expected a square matrix, got shape {m.shape}")
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.size == 0:
+            raise InvalidStateError(f"expected square matrices, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise InvalidStateError("matrix has a non-finite entry")
-        if np.abs(m - m.conj().T).max() > TOL_HERM:
-            raise InvalidStateError("matrix is not Hermitian within tolerance")
-        tr = m.trace()
+        herm = np.abs(m - m.conj().swapaxes(-1, -2)).max()
+        if herm > TOL_HERM:
+            raise InvalidStateError(f"matrix is not Hermitian within tolerance ({herm:.3e})")
+        tr = np.trace(m, axis1=-2, axis2=-1).ravel()
+        tr = tr[np.abs(tr - 1.0).argmax()]
         if abs(tr - 1.0) > TOL_TRACE:
             raise InvalidStateError(f"trace is {tr}, expected 1")
         evals = np.linalg.eigvalsh(m)
@@ -62,15 +65,17 @@ class DensityMatrix:
         m.setflags(write=False)
         evals.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", m.shape[0])
-        object.__setattr__(self, "spectrum", evals[::-1])
+        object.__setattr__(self, "dim", m.shape[-1])
+        object.__setattr__(self, "spectrum", evals[..., ::-1])
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two matrices; the left factor is the slow index block."""
+    """Kronecker product of two matrices, or of each pair of two broadcast
+    stacks of them; the left factor is the slow index block."""
     a, b = _as_complex(a), _as_complex(b)
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (ra * rb, ca * cb))
 
 
 def partial_trace(m: DensityMatrix, dim_a: int, dim_b: int, keep: str) -> DensityMatrix:

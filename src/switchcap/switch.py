@@ -95,7 +95,8 @@ def depolarizing_switch_terms(
 def switched_depolarizing_analytic(
     d: int, q: float, ctrl: ControlState, rho: DensityMatrix
 ) -> DensityMatrix:
-    """Closed-form SWITCH output I (x) A + rho (x) B, in target (x) control order."""
+    """Closed-form SWITCH output I (x) A + rho (x) B, in target (x) control order;
+    a stack of states gives the stack of their outputs."""
     if rho.dim != d:
         raise DimensionMismatchError(f"state dimension {rho.dim} != {d}")
     a, b = depolarizing_switch_terms(d, q, ctrl)

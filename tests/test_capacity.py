@@ -170,8 +170,10 @@ class TestSwitchedSpectrum:
         assert np.all(spec[:-1] >= spec[1:])
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(DimensionMismatchError):
-            switched_spectrum(3, 0.0, PLUS, [1.0, 0.0])
+        # a single spectrum, a stack of them and a scalar
+        for spectrum in ([1.0, 0.0], np.full((4, 2), 0.5), 1.0):
+            with pytest.raises(DimensionMismatchError):
+                switched_spectrum(3, 0.0, PLUS, spectrum)
 
 
 class TestMinimumEntropy:

@@ -6,22 +6,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from switchcap.capacity import switched_spectrum
 from switchcap.channels import depolarizing_channel
 from switchcap.oracle import (
     ComparisonReport,
     SUITES,
+    _covariance_deviations,
     _switch_kraus,
     brute_force_switch_output,
     random_density_matrix,
     reference_constants,
     verify_equivalence,
 )
-from switchcap.qmat import tensor
+from switchcap.qmat import DensityMatrix, tensor
 from switchcap.switch import ControlState, switched_depolarizing_analytic
 
 from helpers import suite_report, switch_apply
 
 PLUS = ControlState(0.5)
+
+# What the two stacked suites compare, for one state
+ONE_STATE_DIFFERENCE = {
+    "analytic-vs-brute": lambda d, q, ctrl, rho: (
+        brute_force_switch_output(d, q, ctrl, rho).matrix
+        - switched_depolarizing_analytic(d, q, ctrl, rho).matrix),
+    "spectrum-vs-eigensolver": lambda d, q, ctrl, rho: (
+        switched_spectrum(d, q, ctrl, rho.spectrum)
+        - switched_depolarizing_analytic(d, q, ctrl, rho).spectrum),
+}
 
 
 class TestRandomDensityMatrix:
@@ -100,6 +112,57 @@ class TestBruteForce:
         assert np.abs(applied - expected).max() <= 1e-13
 
 
+class TestStackedStates:
+    """A stack of states gives, row by row, what each state gives alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        q=st.floats(0.0, 1.0),
+        p=st.floats(0.0, 1.0),
+        coherent=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 6),
+    )
+    def test_rows_equal_single_state_calls(self, d, q, p, coherent, seed, m):
+        ctrl = ControlState(p, coherent=coherent)
+        rhos = [random_density_matrix(d, seed + i) for i in range(m)]
+        states = DensityMatrix(np.stack([rho.matrix for rho in rhos]))
+        brute = brute_force_switch_output(d, q, ctrl, states).matrix
+        closed = switched_depolarizing_analytic(d, q, ctrl, states).matrix
+        spectra = switched_spectrum(d, q, ctrl, states.spectrum)
+        assert brute.shape == closed.shape == (m, 2 * d, 2 * d)
+        assert spectra.shape == (m, 2 * d)
+        for i, rho in enumerate(rhos):
+            rows = (brute[i], closed[i], spectra[i])
+            singles = (brute_force_switch_output(d, q, ctrl, rho).matrix,
+                       switched_depolarizing_analytic(d, q, ctrl, rho).matrix,
+                       switched_spectrum(d, q, ctrl, rho.spectrum))
+            for row, single in zip(rows, singles):
+                assert np.abs(row - single).max() <= 1e-15
+
+
+class TestCovariance:
+    def test_suite_covers_weyl_and_haar_unitaries(self):
+        report = suite_report("covariance")
+        # 3 noise levels, each with d^2 Weyl and 5 Haar unitaries, for d = 2, 3, 4
+        assert report.instances_tested == 3 * (4 + 9 + 16 + 3 * 5)
+        assert report.max_abs_deviation <= 1e-14
+
+    def test_amplitude_damping_fails_the_check(self):
+        # the negative control: damping on the target, the control untouched
+        gamma = 0.3
+        kraus = [np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]]),
+                 np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])]
+        embedded = [tensor(k, np.eye(2)) for k in kraus]
+        superop = sum(tensor(w, w.conj()) for w in embedded)
+        devs = _covariance_deviations(superop, 2)
+        # Weyl order I, Z, X, XZ: damping is covariant under phases only
+        assert devs[:2].max() <= 1e-15
+        np.testing.assert_allclose(devs[2:4], gamma, atol=1e-15)
+        assert devs[4:].min() > 0.1
+
+
 class TestReferenceConstants:
     def test_frozen_values(self):
         ref = reference_constants()
@@ -140,9 +203,14 @@ class TestVerifyEquivalence:
          ((2, 3, 4, 5), (0.0, 0.3, 0.7, 1.0), (0.2, 0.5, 0.7), range(10))),
     ])
     def test_suites_yield_in_grid_order(self, suite, grid):
-        params = [params for _, params in SUITES[suite]()]
-        expected = [dict(d=d, q=q, p=p, seed=seed) for d, q, p, seed in itertools.product(*grid)]
-        assert params == expected
+        # a suite checks each (d, q, p) as one stack of states, which must give
+        # the deviations of one state at a time, in grid order
+        expected = []
+        for d, q, p, seed in itertools.product(*grid):
+            rho = random_density_matrix(d, seed)
+            diff = ONE_STATE_DIFFERENCE[suite](d, q, ControlState(p), rho)
+            expected.append((float(np.abs(diff).max()), dict(d=d, q=q, p=p, seed=seed)))
+        assert list(SUITES[suite]()) == expected
 
     def test_suite_names_exported(self):
         assert "analytic-vs-brute" in SUITES

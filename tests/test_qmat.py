@@ -60,6 +60,17 @@ class TestTensor:
             b = b.T
         assert tensor(a, b).tobytes() == np.kron(a, b).tobytes()
 
+    @given(st.integers(0, 500), st.integers(1, 4), st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_stacks_broadcast_row_by_row(self, seed, d, m):
+        rng = np.random.default_rng(seed)
+        rhos = np.stack([ginibre(d, seed + i).matrix for i in range(m)])
+        a, b = rng.standard_normal((2, 2, 2))
+        stacked = tensor(np.eye(d), a) + tensor(rhos, b)
+        assert stacked.shape == (m, 2 * d, 2 * d)
+        for i in range(m):
+            assert np.abs(stacked[i] - (tensor(np.eye(d), a) + tensor(rhos[i], b))).max() <= 1e-15
+
 
 class TestPartialTrace:
     def test_product_state(self):
@@ -225,3 +236,59 @@ class TestDensityMatrixValidation:
         a, b = ginibre(2, 0), ginibre(2, 0)
         assert (a == a) is True and (a == b) is False
         assert len({a, a, b}) == 2
+
+
+def bad_state(kind, d, seed):
+    """A d x d matrix that fails exactly one of the density-matrix checks."""
+    if kind == "negative":
+        u = haar_unitary(d, seed)
+        return u @ np.diag([1.2, -0.2] + [0.0] * (d - 2)) @ u.conj().T
+    m = np.array(ginibre(d, seed).matrix)
+    if kind == "non-Hermitian":
+        m[0, 1] += 0.1
+    elif kind == "trace":
+        m *= 1.1
+    else:
+        m[d - 1, 0] = math.nan
+    return m
+
+
+class TestDensityMatrixStack:
+    @given(st.integers(0, 500), st.integers(1, 6), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_each_row_is_its_own_state(self, seed, n, m):
+        stack = np.stack([ginibre(n, seed + i).matrix for i in range(m)])
+        states = DensityMatrix(stack)
+        assert states.dim == n and states.spectrum.shape == (m, n)
+        for i in range(m):
+            assert states.spectrum[i].tobytes() == DensityMatrix(stack[i]).spectrum.tobytes()
+
+    @given(
+        st.integers(2, 5),
+        st.integers(0, 500),
+        st.integers(1, 8),
+        st.integers(0, 7),
+        st.sampled_from([
+            ("non-Hermitian", "Hermitian"),
+            ("trace", "trace is"),
+            ("negative", "negative eigenvalue"),
+            ("nan", "non-finite"),
+        ]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_bad_member_rejects_the_stack(self, d, seed, m, index, kind_and_message):
+        kind, message = kind_and_message
+        stack = np.stack([ginibre(d, seed + i).matrix for i in range(m)])
+        stack[index % m] = bad_state(kind, d, seed)
+        with pytest.raises(InvalidStateError, match=message):
+            DensityMatrix(stack)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 0), (0, 0), (3,), (2, 3), (4, 2, 3)])
+    def test_rejects_empty_and_non_square_shapes(self, shape):
+        with pytest.raises(InvalidStateError, match="expected square matrices"):
+            DensityMatrix(np.zeros(shape))
+
+    def test_message_gives_the_worst_value(self):
+        stack = np.stack([np.eye(2) / 2, np.eye(2) * 0.55, np.eye(2) * 0.6])
+        with pytest.raises(InvalidStateError, match=r"^trace is \(1\.2\+0j\), expected 1$"):
+            DensityMatrix(stack)
