@@ -88,13 +88,29 @@ def _transfer_matrix(ch: KrausChannel) -> np.ndarray:
 
     Internal optimizer speedup only; applying T once replaces the sum over
     the (possibly large, redundant) Kraus list.
+
+    The Gram matrix G = sum_k vec(K) vec(K)^T* is summed one nonzero pattern
+    at a time: the operators that share a pattern add sub^T conj(sub) over
+    that pattern's nonzero entries only. This is exact, since every product
+    it skips has a zero factor. The fixed-control SWITCH of two Weyl-form
+    depolarizers has at most 2d + 1 patterns, each with 2d of an operator's
+    2d^2 entries; a dense list is one pattern and one GEMM.
     """
     k = ch.stacked()
     n, r, c = k.shape
     flat = k.reshape(n, r * c)
-    # entry ((a, x), (b, y)) is sum_k K[a, x] conj(K[b, y]) = kron(K, conj K)[ab, xy]
-    gram = (flat.T @ flat.conj()).reshape(r, c, r, c)
-    return gram.transpose(0, 2, 1, 3).reshape(r * r, c * c)
+    # one byte-string key per row, sorted so that each pattern is one slice
+    bits = np.packbits(flat != 0, axis=1)
+    keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    bounds = np.flatnonzero(keys[order[1:]] != keys[order[:-1]]) + 1
+    # G[(a, x), (b, y)] = sum_k K[a, x] conj(K[b, y]) = kron(K, conj K)[ab, xy]
+    gram = np.zeros((r * c, r * c), dtype=complex)
+    for rows in np.split(order, bounds):
+        cols = np.flatnonzero(flat[rows[0]])
+        sub = flat[np.ix_(rows, cols)]
+        gram[np.ix_(cols, cols)] += sub.T @ sub.conj()
+    return gram.reshape(r, c, r, c).transpose(0, 2, 1, 3).reshape(r * r, c * c)
 
 
 def _chi_pure(transfer: np.ndarray, dim_out: int, probs, vecs) -> float:

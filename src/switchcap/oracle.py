@@ -47,12 +47,17 @@ class ComparisonReport:
         )
 
 
-def random_density_matrix(d: int, seed: int) -> DensityMatrix:
-    """Ginibre state: normalize G G' for Gaussian G. Full rank a.s."""
+def _ginibre(d: int, seed: int) -> np.ndarray:
+    """G G' / Tr(G G') for Gaussian G, as a raw matrix. Full rank a.s."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
-    return DensityMatrix(m / m.trace())
+    return m / m.trace()
+
+
+def random_density_matrix(d: int, seed: int) -> DensityMatrix:
+    """Ginibre state: normalize G G' for Gaussian G. Full rank a.s."""
+    return DensityMatrix(_ginibre(d, seed))
 
 
 def _weyl_ops(d: int) -> list[np.ndarray]:
@@ -133,8 +138,7 @@ def reference_constants(dps: int = 50) -> dict[str, float]:
 
 def _analytic_vs_brute():
     for d in (2, 3, 4):
-        ginibre = [random_density_matrix(d, seed).matrix for seed in range(20)]
-        states = DensityMatrix(np.stack(ginibre))
+        states = DensityMatrix(np.stack([_ginibre(d, seed) for seed in range(20)]))
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
             for p in (0.0, 0.3, 0.5, 1.0):
                 ctrl = ControlState(p)
@@ -147,8 +151,7 @@ def _analytic_vs_brute():
 
 def _spectrum_vs_eigensolver():
     for d in (2, 3, 4, 5):
-        ginibre = [random_density_matrix(d, seed).matrix for seed in range(10)]
-        states = DensityMatrix(np.stack(ginibre))
+        states = DensityMatrix(np.stack([_ginibre(d, seed) for seed in range(10)]))
         for q in (0.0, 0.3, 0.7, 1.0):
             for p in (0.2, 0.5, 0.7):
                 ctrl = ControlState(p)

@@ -60,14 +60,18 @@ def switch_with_fixed_control(
     For a coherent control the Kraus operators are W (I (x) |psi_c>); for a
     dephased one, each basis component contributes its own family with
     weight sqrt of its probability.
+
+    W is block-diagonal in the control, so W (I (x) |v>) is W's control
+    diagonal, entry ((x, c), y) = W[(x, c), (y, c)], times v_c: one
+    broadcast product per entry, with no matmul over the zero blocks.
     """
     sw = switch_channel(n1, n2)
     d = n1.dim_in
     amps = np.sqrt([ctrl.p, 1.0 - ctrl.p])
-    vecs = [amps] if ctrl.coherent else np.diag(amps)[amps > 0]
-    embeds = np.stack([tensor(np.eye(d), v.reshape(2, 1)) for v in vecs])
-    ops = (sw.stacked()[:, None] @ embeds).reshape(-1, 2 * d, d)
-    return KrausChannel(ops)
+    vecs = amps[None] if ctrl.coherent else np.diag(amps)[amps > 0]
+    blocks = np.einsum("nxcyc->nxcy", sw.stacked().reshape(-1, d, 2, d, 2))
+    ops = blocks[:, None] * vecs[:, None, :, None]
+    return KrausChannel(ops.reshape(-1, 2 * d, d))
 
 
 def depolarizing_switch_terms(

@@ -323,13 +323,43 @@ class TestStackedHolevo:
 
 
 class TestTransferMatrix:
+    """T is sum_k kron(K, conj K) wherever the operators' zeros fall: a dense
+    list is one nonzero pattern, the fixed-control SWITCH a few, and a sparse
+    random list one per operator."""
+
+    @staticmethod
+    def assert_kronecker_sum(ops):
+        reference = sum(np.kron(k, k.conj()) for k in ops)
+        np.testing.assert_allclose(
+            _transfer_matrix(KrausChannel(ops)), reference, rtol=0, atol=1e-14
+        )
+
     @given(st.integers(0, 300), st.integers(1, 6), st.sampled_from([(2, 2), (4, 2), (3, 5)]))
     @settings(max_examples=30, deadline=None)
     def test_equals_kronecker_sum(self, seed, n, shape):
-        ops = random_kraus(np.random.default_rng(seed), n, *shape)
-        ch = KrausChannel(ops)
-        reference = sum(np.kron(k, k.conj()) for k in ops)
-        np.testing.assert_allclose(_transfer_matrix(ch), reference, rtol=0, atol=1e-14)
+        self.assert_kronecker_sum(random_kraus(np.random.default_rng(seed), n, *shape))
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_fixed_control_switch(self, d, q, coherent):
+        # q = 0 and q = 1 put all-zero operators in the list
+        dep = depolarizing_channel(d, q)
+        ch = switch_with_fixed_control(dep, dep, ControlState(0.3, coherent=coherent))
+        self.assert_kronecker_sum(ch.stacked())
+
+    def test_every_operator_its_own_pattern(self):
+        rng = np.random.default_rng(7)
+        # 40 distinct nonzero masks of the 8 entries, overlapping in many ways
+        codes = rng.permutation(np.arange(1, 256, dtype=np.uint8))[:40]
+        masks = np.unpackbits(codes[:, None], axis=1).reshape(40, 4, 2)
+        self.assert_kronecker_sum(random_kraus(rng, 40, 4, 2) * masks)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_all_zero_operator(self, n):
+        ops = random_kraus(np.random.default_rng(n), n, 3, 2)
+        ops[n // 2] = 0.0
+        self.assert_kronecker_sum(ops)
 
 
 class TestOptimizer:
