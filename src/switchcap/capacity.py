@@ -13,7 +13,6 @@ check: it must reach the closed form and never exceed it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,24 +28,10 @@ class AnalyticCapacity(NamedTuple):
     h_min: float
 
 
-@dataclass(frozen=True)
-class OptimizerResult:
+class OptimizerResult(NamedTuple):
     chi: float
     trials_run: int
     refine_steps: int  # always 0: there is no local refinement
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    """One sweep row: analytic and numeric capacity at (d, q, p)."""
-
-    d: int
-    q: float
-    p: float
-    chi_analytic: float
-    chi_numeric: float
-    entropy_control: float
-    h_min: float
 
 
 def reduced_control_state(d: int, q: float, ctrl: ControlState) -> DensityMatrix:

@@ -10,12 +10,24 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import capacity, oracle
 from .channels import depolarizing_channel
 from .switch import ControlState, switch_with_fixed_control
 
-CSV_COLUMNS = ("d", "q", "p", "chi_analytic", "chi_numeric", "entropy_control", "h_min")
+
+class SweepRow(NamedTuple):
+    """Capacity at one (d, q, p); the fields are the CSV header and JSON keys."""
+
+    d: int
+    q: float
+    p: float
+    chi_analytic: float
+    chi_numeric: float
+    entropy_control: float
+    h_min: float
+
 
 # At its peak a sweep row holds its (d^2+1)^2 SWITCH Kraus operators twice,
 # as a stack of 2d x 2d and one of 2d x d complex matrices: 291 MB at d = 12,
@@ -68,8 +80,8 @@ class SweepConfig:
         return kraus, self.optimizer_trials * d * d * (48 * d + 16)
 
 
-def run_sweep(cfg: SweepConfig) -> list[capacity.CapacityReport]:
-    """One CapacityReport per (d, q, p), in lexicographic order.
+def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
+    """One SweepRow per (d, q, p), in lexicographic order.
 
     The analytic columns come from the closed form, which holds at every
     control weight; the numeric column comes from the ensemble optimizer.
@@ -78,15 +90,15 @@ def run_sweep(cfg: SweepConfig) -> list[capacity.CapacityReport]:
     return [_sweep_row(cfg, *row) for row in grid]
 
 
-def _sweep_row(cfg: SweepConfig, d: int, q: float, p: float) -> capacity.CapacityReport:
+def _sweep_row(cfg: SweepConfig, d: int, q: float, p: float) -> SweepRow:
     # the row's Kraus stacks are locals, freed on return before the next row
     # builds its own, so a sweep peaks at the size of one row
     ctrl = ControlState(p)
     dep = depolarizing_channel(d, q)
     ch = switch_with_fixed_control(dep, dep, ctrl)
-    chi_numeric = capacity.optimize_ensemble(ch, cfg.optimizer_trials, cfg.seed).chi
+    chi_n = capacity.optimize_ensemble(ch, cfg.optimizer_trials, cfg.seed).chi
     chi_a, hc, hm = capacity.holevo_analytic(d, q, ctrl)
-    return capacity.CapacityReport(d, q, p, chi_a, chi_numeric, hc, hm)
+    return SweepRow(d, q, p, chi_a, chi_n, hc, hm)
 
 
 def _fmt(value) -> str:
@@ -96,15 +108,13 @@ def _fmt(value) -> str:
 
 
 def render_csv(rows) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS))
+    lines = [",".join(SweepRow._fields)]
+    lines += [",".join(map(_fmt, r)) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def render_json(rows) -> str:
-    payload = [{c: getattr(r, c) for c in CSV_COLUMNS} for r in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([r._asdict() for r in rows], indent=2) + "\n"
 
 
 def _write(text: str, path: str | None):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,15 +26,15 @@ from .channels import depolarizing_channel
 from .qmat import DensityMatrix, partial_trace, tensor
 from .switch import ControlState
 
-@dataclass(frozen=True)
-class ComparisonReport:
+
+class ComparisonReport(NamedTuple):
     description: str
     max_abs_deviation: float
     instances_tested: int
     worst_case_parameters: dict
 
     def to_json(self) -> str:
-        fields = asdict(self)
+        fields = self._asdict()
         if not math.isfinite(self.max_abs_deviation):
             fields["max_abs_deviation"] = None
         return json.dumps(fields, indent=2, sort_keys=True, allow_nan=False)
@@ -114,10 +114,10 @@ def brute_force_switch_output(
     return DensityMatrix((flat @ pairs.T).reshape(sigma.shape))
 
 
-def reference_constants(dps: int = 50) -> dict[str, float]:
-    """Capacity reference values at q=0, evaluated in extended precision."""
+def reference_constants() -> dict[str, float]:
+    """Capacity reference values at q=0, evaluated to 50 significant digits."""
     import mpmath as mp  # here, so that no sweep or verify run loads it
-    with mp.workdps(dps):
+    with mp.workdps(50):
         lg2 = mp.log(2)
 
         def h(vals):
@@ -242,10 +242,11 @@ def verify_equivalence(suite: str) -> ComparisonReport:
     """Run one named comparison family over its parameter grid."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
-    worst, where, count = 0.0, {}, 0
-    for count, (dev, params) in enumerate(SUITES[suite](), start=1):
-        # the first instance stands until one deviates more, so that an all-zero
-        # suite still names one; the first NaN is kept, so that the verdict fails
-        if count == 1 or not (math.isnan(worst) or dev <= worst):
-            worst, where = dev, params
-    return ComparisonReport(suite, worst, count, where)
+    instances = list(SUITES[suite]())
+    if not instances:
+        raise ValueError(f"suite {suite!r} yielded no instances")
+    devs, params = zip(*instances)
+    # the first NaN, else the first maximum: an all-zero suite still names an
+    # instance, and a NaN anywhere fails the verdict
+    worst = np.argmax(devs)
+    return ComparisonReport(suite, devs[worst], len(devs), params[worst])

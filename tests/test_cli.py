@@ -206,6 +206,10 @@ class TestSweep:
         rows = json.loads(out)
         assert rows[0]["d"] == 2
         assert rows[0]["chi_analytic"] == pytest.approx(1.0)
+        # both renderers write one schema: the JSON keys are the CSV header, in order
+        _, csv = run(capsys, "sweep", "--dims", "2", "--q", "1", "--trials", "3")
+        header = csv.splitlines()[0].split(",")
+        assert all(list(row) == header for row in rows)
 
     def test_bad_dims_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -352,6 +356,13 @@ class TestVerify:
         assert report["max_abs_deviation"] is None
         assert report["instances_tested"] == len(devs)
         assert report["worst_case_parameters"]["seed"] == worst
+
+    def test_empty_suite_fails(self, capsys, monkeypatch):
+        # a suite that tests nothing must not pass as a zero deviation
+        monkeypatch.setitem(cli.oracle.SUITES, "cptp", lambda: iter(()))
+        with pytest.raises(ValueError, match="suite 'cptp' yielded no instances"):
+            main(["verify", "cptp", "--tol", "0"])
+        assert capsys.readouterr().out == ""
 
     def test_all_zero_suite_names_its_first_instance(self, capsys, monkeypatch):
         def suite():
