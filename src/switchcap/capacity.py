@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, depolarizing_channel
 from .qmat import TOL_PSD, DensityMatrix, DimensionMismatchError, entropy_bits
-from .switch import ControlState, depolarizing_switch_terms
+from .switch import ControlState, depolarizing_switch_terms, switch_with_fixed_control
 
 
 class AnalyticCapacity(NamedTuple):
@@ -145,3 +145,21 @@ def optimize_ensemble(ch: KrausChannel, trials: int, seed: int) -> OptimizerResu
         best_chi = max(best_chi, _chi_pure(transfer, ch.dim_out, w / w.sum(), v))
 
     return OptimizerResult(best_chi, trials, 0)
+
+
+def holevo_numeric(d: int, q: float, ctrl: ControlState,
+                   trials: int, seed: int) -> OptimizerResult:
+    """``optimize_ensemble`` on two noise-q depolarizers in a SWITCH with control
+    ``ctrl``. The Kraus stacks are locals, freed on return before the next call."""
+    dep = depolarizing_channel(d, q)
+    return optimize_ensemble(switch_with_fixed_control(dep, dep, ctrl), trials, seed)
+
+
+def holevo_numeric_bytes(d: int, trials: int) -> tuple[int, int]:
+    """Estimated peak bytes of one ``holevo_numeric`` call: Kraus stacks, draws.
+    The (d^2+1)^2 SWITCH Kraus operators are held twice, as a stack of 2d x 2d
+    and one of 2d x d complex matrices: 291 MB at d = 12, where tracemalloc
+    measured 297 MB. The optimizer draws up to d^2 vectors per restart up front,
+    at a peak of 48 d + 16 bytes a vector by tracemalloc."""
+    kraus = (d * d + 1) ** 2 * ((2 * d) ** 2 + 2 * d * d) * 16
+    return kraus, trials * d * d * (48 * d + 16)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import capacity, oracle
-from .channels import depolarizing_channel
-from .switch import ControlState, switch_with_fixed_control
+from .switch import ControlState
 
 
 class SweepRow(NamedTuple):
@@ -29,14 +29,8 @@ class SweepRow(NamedTuple):
     h_min: float
 
 
-# At its peak a sweep row holds its (d^2+1)^2 SWITCH Kraus operators twice,
-# as a stack of 2d x 2d and one of 2d x d complex matrices: 291 MB at d = 12,
-# where tracemalloc measured 297 MB. The optimizer then draws up to d^2
-# vectors per restart up front, at a peak of 48 d + 16 bytes a vector by
-# tracemalloc. Each row frees its stacks before the next row is built, so the
-# limit bounds a whole sweep: at d = 10 a sweep of any length peaks at
-# 100.9 MB by tracemalloc, against 97.9 MB estimated (134.9 MB if a row's
-# stack outlived the next row's assembly). Rows above the limit are refused up
+# A row needs capacity.holevo_numeric_bytes at its peak and frees that before
+# the next row, so the limit bounds a whole sweep. Larger rows are refused up
 # front: at 200 restarts, d = 16 needs 1.66 GB and d = 17 needs 2.38 GB.
 MAX_ROW_BYTES = 2 * 1024**3
 
@@ -62,7 +56,7 @@ class SweepConfig:
         if self.optimizer_trials < 1:
             raise ValueError("trials must be >= 1")
         for d in self.dims:
-            kraus, draws = self.row_bytes(d)
+            kraus, draws = capacity.holevo_numeric_bytes(d, self.optimizer_trials)
             if kraus + draws > MAX_ROW_BYTES:
                 raise ValueError(
                     f"d = {d} needs about {kraus / 1e9:.3g} GB of Kraus operators and "
@@ -74,11 +68,6 @@ class SweepConfig:
         if any(not 0.0 <= v <= 1.0 for v in self.q_values + self.p_values):
             raise ValueError("q and p values must lie in [0, 1]")
 
-    def row_bytes(self, d: int) -> tuple[int, int]:
-        """Estimated peak bytes of one row at dimension d: Kraus stacks, random draws."""
-        kraus = (d * d + 1) ** 2 * ((2 * d) ** 2 + 2 * d * d) * 16
-        return kraus, self.optimizer_trials * d * d * (48 * d + 16)
-
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One SweepRow per (d, q, p), in lexicographic order.
@@ -86,19 +75,13 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     The analytic columns come from the closed form, which holds at every
     control weight; the numeric column comes from the ensemble optimizer.
     """
-    grid = ((d, q, p) for d in cfg.dims for q in cfg.q_values for p in cfg.p_values)
-    return [_sweep_row(cfg, *row) for row in grid]
-
-
-def _sweep_row(cfg: SweepConfig, d: int, q: float, p: float) -> SweepRow:
-    # the row's Kraus stacks are locals, freed on return before the next row
-    # builds its own, so a sweep peaks at the size of one row
-    ctrl = ControlState(p)
-    dep = depolarizing_channel(d, q)
-    ch = switch_with_fixed_control(dep, dep, ctrl)
-    chi_n = capacity.optimize_ensemble(ch, cfg.optimizer_trials, cfg.seed).chi
-    chi_a, hc, hm = capacity.holevo_analytic(d, q, ctrl)
-    return SweepRow(d, q, p, chi_a, chi_n, hc, hm)
+    rows = []
+    for d, q, p in itertools.product(cfg.dims, cfg.q_values, cfg.p_values):
+        ctrl = ControlState(p)
+        chi_n = capacity.holevo_numeric(d, q, ctrl, cfg.optimizer_trials, cfg.seed).chi
+        chi_a, hc, hm = capacity.holevo_analytic(d, q, ctrl)
+        rows.append(SweepRow(d, q, p, chi_a, chi_n, hc, hm))
+    return rows
 
 
 def _fmt(value) -> str:
@@ -152,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=SweepConfig.optimizer_trials,
                        help="optimizer random restarts per row")
     sweep.add_argument("--seed", type=int, default=SweepConfig.seed)
-    sweep.add_argument("--out", default=None, help="output path (default stdout)")
+    sweep.add_argument("--out", default=None, help="output path, or - for stdout, the default")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
     verify = sub.add_parser("verify", help="run a named comparison suite")
@@ -160,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=float, default=1e-9)
     verify.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the report as JSON instead of text")
-    verify.add_argument("--out", default=None, help="output path (default stdout)")
+    verify.add_argument("--out", default=None, help="output path, or - for stdout, the default")
     return parser
 
 

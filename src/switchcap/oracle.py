@@ -5,8 +5,9 @@ own Weyl unitaries, its own Kraus list, and one stacked array of all
 (d^2 + 1)^2 switched operators W. The sum of W (x) conj(W) over every
 pair is one cached superoperator, so the output, the sum of W sigma W'
 over every pair, is one matrix-vector product with vec(sigma).
-It deliberately shares nothing with the channel/switch modules beyond the
-qmat primitives, so agreement between the two paths is meaningful.
+From the library it takes only the qmat primitives and the control density
+rho_c from ``switch.ControlState.density()``, so agreement between the two
+paths is meaningful. The suites call the library functions they certify.
 
 Only ``reference_constants`` imports mpmath, on its first call: it evaluates
 the capacity constants frozen into the test fixtures in extended precision.
@@ -22,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import capacity, switch
-from .channels import depolarizing_channel
 from .qmat import DensityMatrix, partial_trace, tensor
 from .switch import ControlState
 
@@ -164,11 +164,9 @@ def _spectrum_vs_eigensolver():
 
 def _chi_vs_optimizer():
     for d in (2, 3):
-        dep = depolarizing_channel(d, 0.0)
         for p in (0.2, 0.5, 0.7):
             ctrl = ControlState(p)
-            ch = switch.switch_with_fixed_control(dep, dep, ctrl)
-            result = capacity.optimize_ensemble(ch, trials=200, seed=0)
+            result = capacity.holevo_numeric(d, 0.0, ctrl, trials=200, seed=0)
             chi = capacity.holevo_analytic(d, 0.0, ctrl).chi
             yield abs(result.chi - chi), dict(d=d, q=0.0, p=p, seed=0)
 
@@ -198,7 +196,7 @@ def _cptp():
             # the superoperator the oracle applies, traced over its output (a, a)
             traced = pairs.reshape(2 * d, 2 * d, -1).trace().reshape(2 * d, 2 * d)
             dev = float(np.abs(np.stack([total, traced]) - np.eye(2 * d)).max())
-            yield dev, dict(d=d, q=q, p=0.5, seed=0)
+            yield dev, dict(d=d, q=q)
 
 
 def _covariance_deviations(superop: np.ndarray, d: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import switchcap
-from switchcap import cli, oracle
+from switchcap import capacity, channels, cli, oracle, switch
 from switchcap.cli import SweepConfig, main, render_csv, run_sweep
 
 DATA = Path(__file__).parent / "data"
@@ -111,6 +111,40 @@ def test_every_public_function_is_reached_by_sweep_or_verify():
     assert unreached == ["oracle.reference_constants"]
 
 
+def test_kraus_route_has_one_entry_point():
+    """The sweep and the chi-vs-optimizer suite build the Kraus route only
+    through ``capacity.holevo_numeric``, so a new route replaces one body."""
+    route = {fn.__code__: fn.__name__ for fn in (
+        channels.depolarizing_channel, switch.switch_with_fixed_control,
+        capacity.optimize_ensemble)}
+    callers = {name: set() for name in route.values()}
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code in route:
+            caller = frame.f_back
+            callers[route[frame.f_code]].add(
+                f"{caller.f_globals['__name__']}.{caller.f_code.co_name}")
+
+    sys.setprofile(record)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--dims", "2", "--q", "0", "--trials", "1"]) == 0
+            assert main(["verify", "chi-vs-optimizer"]) == 0
+    finally:
+        sys.setprofile(None)
+    assert callers == {name: {"switchcap.capacity.holevo_numeric"} for name in route.values()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--dims", "2", "--q", "0", "--trials", "1"],
+    ["verify", "cptp"],
+])
+def test_out_dash_writes_stdout(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv, "--out", "-") == run(capsys, *argv)
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSweep:
     def test_csv_header_and_row(self, capsys):
         code, out = run(
@@ -188,7 +222,7 @@ class TestSweep:
 
         one, two, three = map(traced_peak, [(0.5,), (0.3, 0.5), (0.3, 0.5, 0.7)])
         assert max(two, three) <= 1.02 * one
-        estimate = sum(SweepConfig(dims=(8,), q_values=(0.0,), optimizer_trials=1).row_bytes(8))
+        estimate = sum(capacity.holevo_numeric_bytes(8, 1))
         assert one == pytest.approx(estimate, rel=0.1)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -299,6 +333,9 @@ class TestVerify:
         code, out = run(capsys, "verify", "cptp", "--tol", "1e-12")
         assert code == 0
         assert "cptp" in out
+        # the check has no control weight and no seed, so only d and q are named
+        code, out = run(capsys, "verify", "cptp", "--tol", "1e-12", "--json")
+        assert list(json.loads(out)["worst_case_parameters"]) == ["d", "q"]
 
     def test_unreachable_tolerance_fails(self, capsys):
         code, out = run(capsys, "verify", "cptp", "--tol", "1e-18")
