@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KrausChannel, depolarizing_channel
-from .qmat import TOL_PSD, DensityMatrix, DimensionMismatchError, entropy_bits
+from .qmat import TOL, DensityMatrix, DimensionMismatchError, entropy_bits
 from .switch import ControlState, depolarizing_switch_terms, switch_with_fixed_control
 
 
@@ -64,8 +64,8 @@ def holevo_analytic(d: int, q: float, ctrl: ControlState) -> AnalyticCapacity:
     # a pure input has eigenvalues 1, 0, ..., 0
     hm = entropy_bits(switched_spectrum(d, q, ctrl, np.eye(d)[0]))
     chi = np.log2(d) + hc - hm
-    # a zero chi can cancel to a few ulps below 0: round-off in [-TOL_PSD, 0) is 0
-    return AnalyticCapacity(0.0 if -TOL_PSD <= chi < 0 else chi, hc, hm)
+    # a zero chi can cancel to a few ulps below 0: round-off in [-TOL, 0) is 0
+    return AnalyticCapacity(0.0 if -TOL <= chi < 0 else chi, hc, hm)
 
 
 def _transfer_matrix(ch: KrausChannel) -> np.ndarray:

@@ -35,6 +35,14 @@ class SweepRow(NamedTuple):
 MAX_ROW_BYTES = 2 * 1024**3
 
 
+def _gigabytes(n: int) -> str:
+    """``n`` bytes in GB to 3 significant digits, for an int of any size."""
+    if n < 1e300:
+        return f"{n / 1e9:.3g}"
+    import decimal  # only past float range: a module-level import slows start-up
+    return f"{decimal.Decimal(n) / 10**9:.3g}"
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     dims: tuple[int, ...]
@@ -59,8 +67,8 @@ class SweepConfig:
             kraus, draws = capacity.holevo_numeric_bytes(d, self.optimizer_trials)
             if kraus + draws > MAX_ROW_BYTES:
                 raise ValueError(
-                    f"d = {d} needs about {kraus / 1e9:.3g} GB of Kraus operators and "
-                    f"{draws / 1e9:.3g} GB of random draws per row, above the "
+                    f"d = {d} needs about {_gigabytes(kraus)} GB of Kraus operators and "
+                    f"{_gigabytes(draws)} GB of random draws per row, above the "
                     f"{MAX_ROW_BYTES / 1e9:.3g} GB limit"
                 )
         if self.seed < 0:
@@ -157,8 +165,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "sweep":
-        try:
+    # every bad input is a usage error, reported before computing
+    try:
+        if args.command == "sweep":
             cfg = SweepConfig(
                 dims=args.dims,
                 q_values=args.q,
@@ -166,17 +175,12 @@ def main(argv=None) -> int:
                 optimizer_trials=args.trials,
                 seed=args.seed,
             )
-        except ValueError as exc:
-            parser.error(str(exc))  # exits 2
-    elif not (math.isfinite(args.tol) and args.tol >= 0):
-        parser.error(f"tolerance must be finite and >= 0, got {args.tol}")
-
-    # fail on a bad path before computing; append mode keeps an existing file
-    if args.out not in (None, "-"):
-        try:
+        elif not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {args.tol}")
+        if args.out not in (None, "-"):  # append mode keeps an existing file
             open(args.out, "a").close()
-        except OSError as exc:
-            parser.error(str(exc))
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))  # exits 2
 
     if args.command == "sweep":
         rows = run_sweep(cfg)

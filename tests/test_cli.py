@@ -8,13 +8,15 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import switchcap
 from switchcap import capacity, channels, cli, oracle, switch
@@ -61,6 +63,73 @@ def test_bad_out_fails_before_computing(tmp_path, monkeypatch, argv, out):
     assert code == 2
     assert calls == []
     assert "Traceback" not in err
+
+
+# Each command's options, each with values valid and invalid; None marks a flag.
+OUT_VALUES = ["x.csv", "x\0y", "missing-dir/x", "-", "."]
+OPTIONS = {
+    "sweep": {
+        "--dims": ["2", "2,3", "0", "2,,3", "", "2_0", "1" + "0" * 60],
+        "--q": ["0", "0.3,1", "-0", "1.5", "nan", "x"],
+        "--p": ["0.5", "0,1", "2", "inf"],
+        "--trials": ["1", "0", "-1", "1" + "0" * 310],
+        "--seed": ["0", "-1", "x"],
+        "--format": ["csv", "json", "xml"],
+        "--out": OUT_VALUES,
+        "--help": [None],
+    },
+    "verify": {
+        "--tol": ["1e-9", "0.1", "-1e-05", "inf", "nan"],
+        "--json": [None],
+        "--out": OUT_VALUES,
+        "--help": [None],
+    },
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command, then a random subset of its options in random order, each
+    with a value from its pool, written as ``--opt value`` or ``--opt=value``."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from([*oracle.SUITES, "nonexistent"])))
+    pool = OPTIONS[command]
+    for name in draw(st.lists(st.sampled_from(sorted(pool)), unique=True)):
+        value = draw(st.sampled_from(pool[name]))
+        if value is None:
+            argv.append(name)
+        elif draw(st.booleans()):
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+@example(argv=["verify", "cptp", "--out", "x\0y"])
+@example(argv=["sweep", "--dims", "1" + "0" * 60, "--q", "0"])
+@example(argv=["sweep", "--dims", "2", "--q", "0", "--trials", "1" + "0" * 310])
+def test_any_argv_exits_0_1_or_2(argv):
+    """Whatever the argv, ``main`` returns 0 or 1 or exits 0 or 2: a bad input
+    is a usage error, never another exception. Nothing is computed."""
+    report = oracle.ComparisonReport("cptp", 1e-6, 1, dict(d=2))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "run_sweep", return_value=[]), \
+            mock.patch.object(cli.oracle, "verify_equivalence", return_value=report), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        os.chdir(tmp)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2), argv
+        else:
+            assert code in (0, 1), argv
+        finally:
+            os.chdir(cwd)
 
 
 def test_cli_runs_never_import_mpmath():

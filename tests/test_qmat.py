@@ -137,6 +137,15 @@ class TestSpectrum:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
+    def test_caller_array_stays_writeable(self):
+        # the state keeps its own copy: a complex array passed in is not frozen,
+        # and a later write to it moves neither the matrix nor the spectrum
+        a = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(a)
+        a[0, 0] = 1
+        np.testing.assert_array_equal(rho.matrix, np.eye(2) / 2)
+        np.testing.assert_array_equal(rho.spectrum, (0.5, 0.5))
+
 
 def entropy(m):
     return entropy_bits(np.linalg.eigvalsh(m))
