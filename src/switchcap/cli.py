@@ -92,15 +92,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     return rows
 
 
-def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.12g}"
-
-
 def render_csv(rows) -> str:
     lines = [",".join(SweepRow._fields)]
-    lines += [",".join(map(_fmt, r)) for r in rows]
+    lines += [",".join(f"{v:.12g}" for v in r) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -5,9 +5,9 @@ own Weyl unitaries, its own Kraus list, and one stacked array of all
 (d^2 + 1)^2 switched operators W. The sum of W (x) conj(W) over every
 pair is one cached superoperator, so the output, the sum of W sigma W'
 over every pair, is one matrix-vector product with vec(sigma).
-From the library it takes only the qmat primitives and the control density
-rho_c from ``switch.ControlState.density()``, so agreement between the two
-paths is meaningful. The suites call the library functions they certify.
+From the library it takes only the qmat primitives and the fields of a
+``switch.ControlState``, so agreement between the two paths is meaningful.
+The suites call the library functions they certify.
 
 Only ``reference_constants`` imports mpmath, on its first call: it evaluates
 the capacity constants frozen into the test fixtures in extended precision.
@@ -16,6 +16,7 @@ the capacity constants frozen into the test fixtures in extended precision.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from typing import NamedTuple
@@ -53,11 +54,6 @@ def _ginibre(d: int, seed: int) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return m / m.trace()
-
-
-def random_density_matrix(d: int, seed: int) -> DensityMatrix:
-    """Ginibre state: normalize G G' for Gaussian G. Full rank a.s."""
-    return DensityMatrix(_ginibre(d, seed))
 
 
 def _weyl_ops(d: int) -> list[np.ndarray]:
@@ -108,7 +104,9 @@ def brute_force_switch_output(
 ) -> DensityMatrix:
     """Sum of W sigma W' over all (d^2+1)^2 Kraus pairs of the switched channel;
     a stack of states gives the stack of their outputs."""
-    sigma = tensor(rho.matrix, ctrl.density())
+    c = np.sqrt(ctrl.p * (1.0 - ctrl.p)) if ctrl.coherent else 0.0
+    rho_c = np.array([[ctrl.p, c], [c, 1.0 - ctrl.p]], dtype=complex)
+    sigma = tensor(rho.matrix, rho_c)
     _, pairs = _switch_kraus(d, q)
     flat = sigma.reshape(sigma.shape[:-2] + (-1,))
     return DensityMatrix((flat @ pairs.T).reshape(sigma.shape))
@@ -136,30 +134,34 @@ def reference_constants() -> dict[str, float]:
         return out
 
 
+def _state_grid(dims, q_values, p_values, n_states):
+    """Each (d, q, p, ControlState(p), states) of a suite's grid, in that order;
+    the Ginibre states of seeds 0 to n_states - 1 are one stack, drawn and
+    validated once per d."""
+    for d in dims:
+        states = DensityMatrix(np.stack([_ginibre(d, seed) for seed in range(n_states)]))
+        for q, p in itertools.product(q_values, p_values):
+            yield d, q, p, ControlState(p), states
+
+
 def _analytic_vs_brute():
-    for d in (2, 3, 4):
-        states = DensityMatrix(np.stack([_ginibre(d, seed) for seed in range(20)]))
-        for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            for p in (0.0, 0.3, 0.5, 1.0):
-                ctrl = ControlState(p)
-                brute = brute_force_switch_output(d, q, ctrl, states)
-                analytic = switch.switched_depolarizing_analytic(d, q, ctrl, states)
-                devs = np.abs(brute.matrix - analytic.matrix).max(axis=(1, 2))
-                for seed, dev in enumerate(devs):
-                    yield float(dev), dict(d=d, q=q, p=p, seed=seed)
+    grid = _state_grid((2, 3, 4), (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.3, 0.5, 1.0), 20)
+    for d, q, p, ctrl, states in grid:
+        brute = brute_force_switch_output(d, q, ctrl, states)
+        analytic = switch.switched_depolarizing_analytic(d, q, ctrl, states)
+        devs = np.abs(brute.matrix - analytic.matrix).max(axis=(1, 2))
+        for seed, dev in enumerate(devs):
+            yield float(dev), dict(d=d, q=q, p=p, seed=seed)
 
 
 def _spectrum_vs_eigensolver():
-    for d in (2, 3, 4, 5):
-        states = DensityMatrix(np.stack([_ginibre(d, seed) for seed in range(10)]))
-        for q in (0.0, 0.3, 0.7, 1.0):
-            for p in (0.2, 0.5, 0.7):
-                ctrl = ControlState(p)
-                predicted = capacity.switched_spectrum(d, q, ctrl, states.spectrum)
-                out = switch.switched_depolarizing_analytic(d, q, ctrl, states)
-                devs = np.abs(predicted - out.spectrum).max(axis=1)
-                for seed, dev in enumerate(devs):
-                    yield float(dev), dict(d=d, q=q, p=p, seed=seed)
+    grid = _state_grid((2, 3, 4, 5), (0.0, 0.3, 0.7, 1.0), (0.2, 0.5, 0.7), 10)
+    for d, q, p, ctrl, states in grid:
+        predicted = capacity.switched_spectrum(d, q, ctrl, states.spectrum)
+        out = brute_force_switch_output(d, q, ctrl, states)
+        devs = np.abs(predicted - out.spectrum).max(axis=1)
+        for seed, dev in enumerate(devs):
+            yield float(dev), dict(d=d, q=q, p=p, seed=seed)
 
 
 def _chi_vs_optimizer():
@@ -172,20 +174,19 @@ def _chi_vs_optimizer():
 
 
 def _marginals():
-    ctrl = ControlState(0.5)
-    for d in (2, 3, 4):
+    for d, q, p, ctrl, states in _state_grid((2, 3, 4), (0.0,), (0.5,), 10):
         target_ref = np.eye(d) / d
-        control_ref = capacity.reduced_control_state(d, 0.0, ctrl).matrix
-        for seed in range(10):
-            rho = random_density_matrix(d, seed)
-            out = brute_force_switch_output(d, 0.0, ctrl, rho)
+        control_ref = capacity.reduced_control_state(d, q, ctrl).matrix
+        # one oracle call per state, as perfbench's trace counts them
+        for seed, rho in enumerate(states.matrix):
+            out = brute_force_switch_output(d, q, ctrl, DensityMatrix(rho))
             tmarg = partial_trace(out, d, 2, "A")
             cmarg = partial_trace(out, d, 2, "B")
             dev = max(
                 float(np.abs(tmarg.matrix - target_ref).max()),
                 float(np.abs(cmarg.matrix - control_ref).max()),
             )
-            yield dev, dict(d=d, q=0.0, p=0.5, seed=seed)
+            yield dev, dict(d=d, q=q, p=p, seed=seed)
 
 
 def _cptp():

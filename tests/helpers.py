@@ -6,13 +6,18 @@ import functools
 import numpy as np
 
 from switchcap.channels import KrausChannel
-from switchcap.oracle import random_density_matrix as ginibre, verify_equivalence
+from switchcap.oracle import _ginibre, verify_equivalence
 from switchcap.qmat import DensityMatrix, DimensionMismatchError, entropy_bits, tensor
 from switchcap.switch import switch_channel
 
 # A suite's report is immutable and its grid fixed, so the tests that assert
 # on the same suite share one run of it.
 suite_report = functools.cache(verify_equivalence)
+
+
+def ginibre(d, seed):
+    """The oracle suites' Ginibre state of dimension d and seed, validated."""
+    return DensityMatrix(_ginibre(d, seed))
 
 
 def haar_unitary(d, seed):

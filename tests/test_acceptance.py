@@ -8,7 +8,6 @@ import pytest
 from switchcap.capacity import holevo_analytic, optimize_ensemble
 from switchcap.channels import KrausChannel, depolarizing_channel
 from switchcap.cli import main
-from switchcap.oracle import random_density_matrix
 from switchcap.qmat import DensityMatrix, tensor
 from switchcap.switch import ControlState, switch_channel, switch_with_fixed_control
 
@@ -17,6 +16,7 @@ from helpers import (
     compose_serial,
     cptp_deviation,
     dephasing_channel,
+    ginibre,
     holevo_of_ensemble,
     suite_report,
     switch_apply,
@@ -103,7 +103,7 @@ def test_criterion_7_commuting_kraus_null():
         for p in (0.2, 0.5, 0.8):
             ctrl = ControlState(p)
             for seed in range(5):
-                rho = random_density_matrix(d, seed)
+                rho = ginibre(d, seed)
                 js = switch_apply(n, n, rho, ctrl)
                 expected = tensor(apply(serial, rho).matrix, ctrl.density())
                 worst = max(worst, float(np.abs(js.matrix - expected).max()))
@@ -133,7 +133,7 @@ def test_criterion_8_structural_suite():
         mixed = KrausChannel(
             tuple(sum(v[i, j] * dep.kraus_ops[j] for j in range(nops)) for i in range(nops))
         )
-        rho = random_density_matrix(2, seed)
+        rho = ginibre(2, seed)
         a = switch_apply(dep, dep, rho, PLUS).matrix
         b = switch_apply(mixed, mixed, rho, PLUS).matrix
         rep_dev = max(rep_dev, float(np.abs(a - b).max()))

@@ -1,12 +1,17 @@
+import contextlib
+import inspect
 import itertools
 import json
 import math
+import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchcap.capacity import switched_spectrum
+from switchcap import capacity, switch
+from switchcap.capacity import reduced_control_state, switched_spectrum
 from switchcap.channels import depolarizing_channel
 from switchcap.oracle import (
     ComparisonReport,
@@ -14,49 +19,118 @@ from switchcap.oracle import (
     _covariance_deviations,
     _switch_kraus,
     brute_force_switch_output,
-    random_density_matrix,
     reference_constants,
     verify_equivalence,
 )
-from switchcap.qmat import DensityMatrix, tensor
+from switchcap.qmat import DensityMatrix, partial_trace, tensor
 from switchcap.switch import ControlState, switched_depolarizing_analytic
 
-from helpers import suite_report, switch_apply
+from helpers import ginibre, suite_report, switch_apply
 
 PLUS = ControlState(0.5)
 
-# What the two stacked suites compare, for one state
+
+def _marginal_difference(d, q, ctrl, rho):
+    out = brute_force_switch_output(d, q, ctrl, rho)
+    target = partial_trace(out, d, 2, "A").matrix - np.eye(d) / d
+    control = partial_trace(out, d, 2, "B").matrix - reduced_control_state(d, q, ctrl).matrix
+    return np.concatenate([target.ravel(), control.ravel()])
+
+
+# What the three state suites compare, for one state
 ONE_STATE_DIFFERENCE = {
     "analytic-vs-brute": lambda d, q, ctrl, rho: (
         brute_force_switch_output(d, q, ctrl, rho).matrix
         - switched_depolarizing_analytic(d, q, ctrl, rho).matrix),
     "spectrum-vs-eigensolver": lambda d, q, ctrl, rho: (
         switched_spectrum(d, q, ctrl, rho.spectrum)
-        - switched_depolarizing_analytic(d, q, ctrl, rho).spectrum),
+        - brute_force_switch_output(d, q, ctrl, rho).spectrum),
+    "marginals": _marginal_difference,
 }
+
+# The suites that call the library; cptp and covariance check only the oracle
+LIBRARY_SUITES = {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-optimizer", "marginals"}
+
+# Each fault replaces one piece of a library function's source, on every
+# module that binds the function; the suites named with it must fail, and no
+# other.
+PLANTED_FAULTS = [
+    pytest.param((switch, capacity), "depolarizing_switch_terms",
+                 "(1.0 - q) ** 2 / d**2", "(1.0 - q) ** 2 / d",
+                 LIBRARY_SUITES, id="twirl-over-d"),
+    pytest.param((switch, capacity), "depolarizing_switch_terms",
+                 "return rho_c_beta / d, b", "return rho_c_beta, b",
+                 LIBRARY_SUITES, id="A-not-over-d"),
+    pytest.param((switch, capacity), "depolarizing_switch_terms",
+                 "2.0 * q * (1.0 - q)", "q * (1.0 - q)",
+                 {"analytic-vs-brute", "spectrum-vs-eigensolver"}, id="mix-halved"),
+    pytest.param((switch,), "switch_channel",
+                 "np.matmul(k1[None], k2[:, None],", "np.matmul(k2[:, None], k1[None],",
+                 {"chi-vs-optimizer"}, id="switch-one-order"),
+    pytest.param((capacity,), "holevo_analytic",
+                 "np.eye(d)[0]", "np.full(d, 1.0 / d)",
+                 {"chi-vs-optimizer"}, id="h-min-mixed-input"),
+    pytest.param((capacity,), "_transfer_matrix",
+                 "sub.T @ sub.conj()", "sub.T @ sub",
+                 {"chi-vs-optimizer"}, id="transfer-no-conj"),
+    pytest.param((ControlState,), "density",
+                 "rho[0, 1] = rho[1, 0] = c", "rho[0, 1] = rho[1, 0] = c / 2",
+                 LIBRARY_SUITES, id="coherence-halved"),
+    pytest.param((capacity,), "optimize_ensemble",
+                 "best_chi = max(best_chi, _chi_pure(transfer, ch.dim_out, w / w.sum(), v))",
+                 "continue", set(), id="no-restarts"),
+]
+
+
+@contextlib.contextmanager
+def _planted(owners, name, old, new):
+    """Patch ``name`` on every owner with its own source, ``old`` replaced by ``new``."""
+    original = getattr(owners[0], name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(old) == 1, f"{name} does not contain {old!r} once"
+    namespace = dict(original.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(original), "exec"), namespace)
+    with contextlib.ExitStack() as patches:
+        for owner in owners:
+            patches.enter_context(mock.patch.object(owner, name, namespace[name]))
+        yield
+
+
+def _failing_suites():
+    """The suites whose deviation is not within 1e-9, or that reject a state."""
+    failing = set()
+    for suite in SUITES:
+        try:
+            report = verify_equivalence(suite)
+        except ValueError:
+            failing.add(suite)
+        else:
+            if not report.max_abs_deviation <= 1e-9:
+                failing.add(suite)
+    return failing
 
 
 class TestRandomDensityMatrix:
     def test_unit_trace(self):
         for seed in range(20):
-            rho = random_density_matrix(3, seed)
+            rho = ginibre(3, seed)
             assert abs(rho.matrix.trace() - 1.0) <= 1e-12
 
     def test_positive(self):
         for seed in range(20):
-            rho = random_density_matrix(4, seed)
+            rho = ginibre(4, seed)
             assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-12
 
     def test_deterministic(self):
-        a = random_density_matrix(3, 17)
-        b = random_density_matrix(3, 17)
+        a = ginibre(3, 17)
+        b = ginibre(3, 17)
         assert np.array_equal(a.matrix, b.matrix)
 
 
 class TestBruteForce:
     def test_q0_block_structure(self):
         d = 2
-        rho = random_density_matrix(d, 0)
+        rho = ginibre(d, 0)
         out = brute_force_switch_output(d, 0.0, PLUS, rho).matrix
         r = out.reshape(d, 2, d, 2)
         for ti in range(d):
@@ -68,7 +142,7 @@ class TestBruteForce:
                 )
 
     def test_q1_passes_input_through(self):
-        rho = random_density_matrix(3, 5)
+        rho = ginibre(3, 5)
         out = brute_force_switch_output(3, 1.0, PLUS, rho)
         np.testing.assert_allclose(
             out.matrix, tensor(rho.matrix, PLUS.density()), atol=1e-12
@@ -84,7 +158,7 @@ class TestBruteForce:
     )
     def test_equals_library_kraus_route(self, d, q, p, coherent, seed):
         ctrl = ControlState(p, coherent=coherent)
-        rho = random_density_matrix(d, seed)
+        rho = ginibre(d, seed)
         dep = depolarizing_channel(d, q)
         brute = brute_force_switch_output(d, q, ctrl, rho).matrix
         library = switch_apply(dep, dep, rho, ctrl).matrix
@@ -105,7 +179,7 @@ class TestBruteForce:
     @pytest.mark.parametrize("d, q", itertools.product((2, 3, 4), (0.0, 0.4, 1.0)))
     def test_superoperator_applies_the_pairwise_sum(self, d, q):
         # a non-product sigma, so that a swap of (a, b, i, j) axes cannot cancel out
-        sigma = random_density_matrix(2 * d, d).matrix
+        sigma = ginibre(2 * d, d).matrix
         w, pairs = _switch_kraus(d, q)
         expected = sum(wk @ sigma @ wk.conj().T for wk in w)
         applied = (pairs @ sigma.reshape(-1)).reshape(2 * d, 2 * d)
@@ -126,7 +200,7 @@ class TestStackedStates:
     )
     def test_rows_equal_single_state_calls(self, d, q, p, coherent, seed, m):
         ctrl = ControlState(p, coherent=coherent)
-        rhos = [random_density_matrix(d, seed + i) for i in range(m)]
+        rhos = [ginibre(d, seed + i) for i in range(m)]
         states = DensityMatrix(np.stack([rho.matrix for rho in rhos]))
         brute = brute_force_switch_output(d, q, ctrl, states).matrix
         closed = switched_depolarizing_analytic(d, q, ctrl, states).matrix
@@ -201,16 +275,22 @@ class TestVerifyEquivalence:
          ((2, 3, 4), (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.3, 0.5, 1.0), range(20))),
         ("spectrum-vs-eigensolver",
          ((2, 3, 4, 5), (0.0, 0.3, 0.7, 1.0), (0.2, 0.5, 0.7), range(10))),
+        ("marginals", ((2, 3, 4), (0.0,), (0.5,), range(10))),
     ])
     def test_suites_yield_in_grid_order(self, suite, grid):
         # a suite checks each (d, q, p) as one stack of states, which must give
         # the deviations of one state at a time, in grid order
         expected = []
         for d, q, p, seed in itertools.product(*grid):
-            rho = random_density_matrix(d, seed)
+            rho = ginibre(d, seed)
             diff = ONE_STATE_DIFFERENCE[suite](d, q, ControlState(p), rho)
             expected.append((float(np.abs(diff).max()), dict(d=d, q=q, p=p, seed=seed)))
         assert list(SUITES[suite]()) == expected
 
     def test_suite_names_exported(self):
         assert "analytic-vs-brute" in SUITES
+
+    @pytest.mark.parametrize("owners, name, old, new, failing", PLANTED_FAULTS)
+    def test_planted_fault_fails_exactly_these_suites(self, owners, name, old, new, failing):
+        with _planted(owners, name, old, new):
+            assert _failing_suites() == failing
