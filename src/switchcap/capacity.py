@@ -81,7 +81,7 @@ def _transfer_matrix(ch: KrausChannel) -> np.ndarray:
     depolarizers has at most 2d + 1 patterns, each with 2d of an operator's
     2d^2 entries; a dense list is one pattern and one GEMM.
     """
-    k = ch.stacked()
+    k = ch.ops
     n, r, c = k.shape
     flat = k.reshape(n, r * c)
     # one byte-string key per row, sorted so that each pattern is one slice
@@ -158,8 +158,8 @@ def holevo_numeric(d: int, q: float, ctrl: ControlState,
 def holevo_numeric_bytes(d: int, trials: int) -> tuple[int, int]:
     """Estimated peak bytes of one ``holevo_numeric`` call: Kraus stacks, draws.
     The (d^2+1)^2 SWITCH Kraus operators are held twice, as a stack of 2d x 2d
-    and one of 2d x d complex matrices: 291 MB at d = 12, where tracemalloc
-    measured 297 MB. The optimizer draws up to d^2 vectors per restart up front,
+    and one of 2d x d complex matrices: 290.7 MB at d = 12, where tracemalloc
+    measured 291.3 MB. The optimizer draws up to d^2 vectors per restart up front,
     at a peak of 48 d + 16 bytes a vector by tracemalloc."""
     kraus = (d * d + 1) ** 2 * ((2 * d) ** 2 + 2 * d * d) * 16
     return kraus, trials * d * d * (48 * d + 16)

@@ -8,7 +8,7 @@ minimized or canonicalized, so representation-independence stays testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,40 +19,33 @@ from .qmat import DimensionMismatchError
 class KrausChannel:
     """A CPTP map given by a finite list of Kraus operators.
 
-    ``kraus_ops`` is a sequence of ``dim_out x dim_in`` operators or one
-    ``(n, dim_out, dim_in)`` array; it is kept as one read-only stack, with
-    ``kraus_ops`` a tuple of views into it, and both dimensions are read from
-    the stack's shape. Completeness (sum K'K = I) is the caller's
+    ``ops`` is a sequence of ``dim_out x dim_in`` operators or one
+    ``(n, dim_out, dim_in)`` array, kept as one read-only stack (a view of an
+    array passed in); both dimensions and ``kraus_ops``, a tuple of one view per
+    operator, are read from it. Completeness (sum K'K = I) is the caller's
     responsibility. Equality and hashing are by identity.
     """
 
-    kraus_ops: tuple[np.ndarray, ...]
-    dim_in: int = field(init=False)
-    dim_out: int = field(init=False)
-    _stack: np.ndarray = field(init=False, repr=False)
+    ops: np.ndarray
+    dim_out = property(lambda self: self.ops.shape[1])
+    dim_in = property(lambda self: self.ops.shape[2])
+    kraus_ops = property(lambda self: tuple(self.ops))
 
     def __post_init__(self):
-        if len(self.kraus_ops) == 0:
+        if len(self.ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         try:
             # a view, so that an array passed in stays writeable for its owner
-            stack = np.asarray(self.kraus_ops, dtype=complex).view()
+            stack = np.asarray(self.ops, dtype=complex).view()
         except ValueError:  # operators of unequal shapes
             stack = None
         if stack is None or stack.ndim != 3:
             raise DimensionMismatchError("Kraus operators must be matrices of one shape")
         stack.flags.writeable = False
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "kraus_ops", tuple(stack))
-        object.__setattr__(self, "dim_out", stack.shape[1])
-        object.__setattr__(self, "dim_in", stack.shape[2])
-
-    def stacked(self) -> np.ndarray:
-        """All Kraus operators as one read-only (n, dim_out, dim_in) array."""
-        return self._stack
+        object.__setattr__(self, "ops", stack)
 
 
-def weyl_basis(d: int) -> tuple[np.ndarray, ...]:
+def weyl_basis(d: int) -> np.ndarray:
     """Generalized Pauli basis: X(i)|l> = |i+l mod d>, Z(j)|l> = w^{jl}|l>.
 
     The d^2 unitaries X(i) Z(j) are indexed by i*d + j; element 0 is I.
@@ -60,9 +53,9 @@ def weyl_basis(d: int) -> tuple[np.ndarray, ...]:
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     omega = np.exp(2j * np.pi / d)
-    shifts = [np.roll(np.eye(d, dtype=complex), i, axis=0) for i in range(d)]
-    phases = [np.diag(omega ** (j * np.arange(d))) for j in range(d)]
-    return tuple(shifts[i] @ phases[j] for i in range(d) for j in range(d))
+    shifts = np.stack([np.roll(np.eye(d, dtype=complex), i, axis=0) for i in range(d)])
+    phases = np.stack([np.diag(omega ** (j * np.arange(d))) for j in range(d)])
+    return (shifts[:, None] @ phases[None]).reshape(d * d, d, d)
 
 
 def depolarizing_channel(d: int, q: float) -> KrausChannel:
@@ -74,7 +67,5 @@ def depolarizing_channel(d: int, q: float) -> KrausChannel:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    ops = [np.sqrt(q) * np.eye(d, dtype=complex)]
-    ops.extend(np.sqrt(1.0 - q) / d * u for u in weyl_basis(d))
-    return KrausChannel(tuple(ops))
-
+    identity = np.sqrt(q) * np.eye(d, dtype=complex)
+    return KrausChannel(np.concatenate((identity[None], np.sqrt(1.0 - q) / d * weyl_basis(d))))

@@ -10,7 +10,7 @@ From the library it takes only the qmat primitives and the fields of a
 The suites call the library functions they certify.
 
 Only ``reference_constants`` imports mpmath, on its first call: it evaluates
-the capacity constants frozen into the test fixtures in extended precision.
+the capacity constants of ``chi-vs-reference`` and the tests to 50 digits.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def brute_force_switch_output(
 
 def reference_constants() -> dict[str, float]:
     """Capacity reference values at q=0, evaluated to 50 significant digits."""
-    import mpmath as mp  # here, so that no sweep or verify run loads it
+    import mpmath as mp  # here, so that no sweep or other verify run loads it
     with mp.workdps(50):
         lg2 = mp.log(2)
 
@@ -171,6 +171,13 @@ def _chi_vs_optimizer():
             result = capacity.holevo_numeric(d, 0.0, ctrl, trials=200, seed=0)
             chi = capacity.holevo_analytic(d, 0.0, ctrl).chi
             yield abs(result.chi - chi), dict(d=d, q=0.0, p=p, seed=0)
+
+
+def _chi_vs_reference():
+    ref = reference_constants()
+    for d in (2, 3, 4, 5, 6):
+        for name, value in capacity.holevo_analytic(d, 0.0, ControlState(0.5))._asdict().items():
+            yield abs(value - ref[f"{name}_d{d}"]), dict(d=d, quantity=name)
 
 
 def _marginals():
@@ -231,6 +238,7 @@ SUITES = {
     "analytic-vs-brute": _analytic_vs_brute,
     "spectrum-vs-eigensolver": _spectrum_vs_eigensolver,
     "chi-vs-optimizer": _chi_vs_optimizer,
+    "chi-vs-reference": _chi_vs_reference,
     "marginals": _marginals,
     "cptp": _cptp,
     "covariance": _covariance,

@@ -36,8 +36,8 @@ class DensityMatrix:
     """
 
     matrix: np.ndarray
-    dim: int = field(init=False)
     spectrum: np.ndarray = field(init=False)
+    dim = property(lambda self: self.matrix.shape[-1])
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -60,7 +60,6 @@ class DensityMatrix:
         m.setflags(write=False)
         evals.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", m.shape[-1])
         object.__setattr__(self, "spectrum", evals[..., ::-1])
 
 

@@ -43,7 +43,7 @@ def switch_channel(n1: KrausChannel, n2: KrausChannel) -> KrausChannel:
     if not (n1.dim_in == n1.dim_out == n2.dim_in == n2.dim_out):
         raise DimensionMismatchError("both channels must be square and equal-dimension")
     d = n1.dim_in
-    k1, k2 = n1.stacked(), n2.stacked()
+    k1, k2 = n1.ops, n2.ops
     # operator (i, j) pairs K2_i with K1_j; axes are (x, control, y, control')
     w = np.zeros((len(k2), len(k1), d, 2, d, 2), dtype=complex)
     # written in place: no (n, n, d, d) product temporaries
@@ -69,7 +69,7 @@ def switch_with_fixed_control(
     d = n1.dim_in
     amps = np.sqrt([ctrl.p, 1.0 - ctrl.p])
     vecs = amps[None] if ctrl.coherent else np.diag(amps)[amps > 0]
-    blocks = np.einsum("nxcyc->nxcy", sw.stacked().reshape(-1, d, 2, d, 2))
+    blocks = np.einsum("nxcyc->nxcy", sw.ops.reshape(-1, d, 2, d, 2))
     ops = blocks[:, None] * vecs[:, None, :, None]
     return KrausChannel(ops.reshape(-1, 2 * d, d))
 

@@ -55,7 +55,7 @@ def compose_serial(first, second):
 
 def cptp_deviation(ch):
     """Max-entry deviation of sum K'K from the identity; 0 for a CPTP channel."""
-    k = ch.stacked()
+    k = ch.ops
     total = np.einsum("nji,njk->ik", k.conj(), k)
     return float(np.abs(total - np.eye(ch.dim_in)).max())
 
@@ -64,7 +64,7 @@ def cptp_deviation(ch):
 # the reference that the closed forms and the transfer matrix are tested against.
 def apply(ch, rho):
     """sum_i K_i rho K_i' for a DensityMatrix rho."""
-    k = ch.stacked()
+    k = ch.ops
     return DensityMatrix(np.einsum("nij,jk,nlk->il", k, rho.matrix, k.conj()))
 
 

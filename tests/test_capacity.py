@@ -51,7 +51,7 @@ def fourier_dephased(ch):
     d = ch.dim_in
     f = np.fft.fft(np.eye(d)) / np.sqrt(d)
     projectors = np.einsum("ik,jk->kij", f, f.conj())
-    ops = (ch.stacked()[:, None] @ projectors).reshape(-1, ch.dim_out, d)
+    ops = (ch.ops[:, None] @ projectors).reshape(-1, ch.dim_out, d)
     return KrausChannel(ops)
 
 
@@ -346,7 +346,7 @@ class TestTransferMatrix:
         # q = 0 and q = 1 put all-zero operators in the list
         dep = depolarizing_channel(d, q)
         ch = switch_with_fixed_control(dep, dep, ControlState(0.3, coherent=coherent))
-        self.assert_kronecker_sum(ch.stacked())
+        self.assert_kronecker_sum(ch.ops)
 
     def test_every_operator_its_own_pattern(self):
         rng = np.random.default_rng(7)

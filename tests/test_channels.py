@@ -28,7 +28,7 @@ class TestKrausChannel:
         ops = random_kraus(np.random.default_rng(seed), n, *shape)
         a = KrausChannel(tuple(ops))
         b = KrausChannel(ops)
-        assert np.array_equal(a.stacked(), b.stacked())
+        assert np.array_equal(a.ops, b.ops)
         assert len(a.kraus_ops) == len(b.kraus_ops) == n
         for ka, kb, k in zip(a.kraus_ops, b.kraus_ops, ops):
             assert np.array_equal(ka, k) and np.array_equal(kb, k)
@@ -36,10 +36,10 @@ class TestKrausChannel:
     def test_stack_is_kept_read_only_without_a_copy(self):
         ops = random_kraus(np.random.default_rng(0), 3, 2, 2)
         ch = KrausChannel(ops)
-        assert ch.stacked() is ch.stacked()
-        assert np.shares_memory(ch.stacked(), ops)
+        assert ch.ops is ch.ops
+        assert np.shares_memory(ch.ops, ops)
         assert np.shares_memory(ch.kraus_ops[1], ops)
-        assert not ch.stacked().flags.writeable
+        assert not ch.ops.flags.writeable
         assert ops.flags.writeable
 
     @pytest.mark.parametrize("ops", [

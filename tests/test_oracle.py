@@ -49,7 +49,8 @@ ONE_STATE_DIFFERENCE = {
 }
 
 # The suites that call the library; cptp and covariance check only the oracle
-LIBRARY_SUITES = {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-optimizer", "marginals"}
+LIBRARY_SUITES = {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-optimizer",
+                  "chi-vs-reference", "marginals"}
 
 # Each fault replaces one piece of a library function's source, on every
 # module that binds the function; the suites named with it must fail, and no
@@ -69,7 +70,7 @@ PLANTED_FAULTS = [
                  {"chi-vs-optimizer"}, id="switch-one-order"),
     pytest.param((capacity,), "holevo_analytic",
                  "np.eye(d)[0]", "np.full(d, 1.0 / d)",
-                 {"chi-vs-optimizer"}, id="h-min-mixed-input"),
+                 {"chi-vs-optimizer", "chi-vs-reference"}, id="h-min-mixed-input"),
     pytest.param((capacity,), "_transfer_matrix",
                  "sub.T @ sub.conj()", "sub.T @ sub",
                  {"chi-vs-optimizer"}, id="transfer-no-conj"),

@@ -110,10 +110,10 @@ class TestStackedSwitch:
             n2 = KrausChannel(random_kraus(rng, 1 + seed % 3, d, d))
         ctrl = ControlState(p, coherent=coherent)
         # == compares numbers, so a -0.0 from the pairwise sums equals 0.0
-        assert np.array_equal(switch_channel(n1, n2).stacked(), pairwise_switch(n1, n2))
+        assert np.array_equal(switch_channel(n1, n2).ops, pairwise_switch(n1, n2))
         fixed = switch_with_fixed_control(n1, n2, ctrl)
-        assert np.array_equal(fixed.stacked(), pairwise_switch(n1, n2, ctrl))
-        assert fixed.stacked().shape[1:] == (2 * d, d)
+        assert np.array_equal(fixed.ops, pairwise_switch(n1, n2, ctrl))
+        assert fixed.ops.shape[1:] == (2 * d, d)
 
 
 class TestSwitchApply:
