@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import capacity, switch
-from .qmat import DensityMatrix, partial_trace, tensor
+from .qmat import DensityMatrix, entropy_bits, partial_trace, tensor
 from .switch import ControlState
 
 
@@ -134,34 +134,38 @@ def reference_constants() -> dict[str, float]:
         return out
 
 
-def _state_grid(dims, q_values, p_values, n_states):
-    """Each (d, q, p, ControlState(p), states) of a suite's grid, in that order;
-    the Ginibre states of seeds 0 to n_states - 1 are one stack, drawn and
-    validated once per d."""
+def _state_suite(dims, q_values, p_values, n_states, deviations):
+    """Each state's (deviation, parameters) over a grid, in d, q, p, seed order:
+    ``deviations(d, q, ControlState(p), states)`` gives one per state. The Ginibre
+    states of seeds 0 to n_states - 1 are one stack, drawn and validated once per d."""
     for d in dims:
         states = DensityMatrix(np.stack([_ginibre(d, seed) for seed in range(n_states)]))
         for q, p in itertools.product(q_values, p_values):
-            yield d, q, p, ControlState(p), states
+            for seed, dev in enumerate(deviations(d, q, ControlState(p), states)):
+                yield float(dev), dict(d=d, q=q, p=p, seed=seed)
 
 
-def _analytic_vs_brute():
-    grid = _state_grid((2, 3, 4), (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.3, 0.5, 1.0), 20)
-    for d, q, p, ctrl, states in grid:
-        brute = brute_force_switch_output(d, q, ctrl, states)
-        analytic = switch.switched_depolarizing_analytic(d, q, ctrl, states)
-        devs = np.abs(brute.matrix - analytic.matrix).max(axis=(1, 2))
-        for seed, dev in enumerate(devs):
-            yield float(dev), dict(d=d, q=q, p=p, seed=seed)
+def _analytic_vs_brute(d, q, ctrl, states):
+    brute = brute_force_switch_output(d, q, ctrl, states)
+    analytic = switch.switched_depolarizing_analytic(d, q, ctrl, states)
+    return np.abs(brute.matrix - analytic.matrix).max(axis=(1, 2))
 
 
-def _spectrum_vs_eigensolver():
-    grid = _state_grid((2, 3, 4, 5), (0.0, 0.3, 0.7, 1.0), (0.2, 0.5, 0.7), 10)
-    for d, q, p, ctrl, states in grid:
-        predicted = capacity.switched_spectrum(d, q, ctrl, states.spectrum)
-        out = brute_force_switch_output(d, q, ctrl, states)
-        devs = np.abs(predicted - out.spectrum).max(axis=1)
-        for seed, dev in enumerate(devs):
-            yield float(dev), dict(d=d, q=q, p=p, seed=seed)
+def _spectrum_vs_eigensolver(d, q, ctrl, states):
+    predicted = capacity.switched_spectrum(d, q, ctrl, states.spectrum)
+    out = brute_force_switch_output(d, q, ctrl, states)
+    return np.abs(predicted - out.spectrum).max(axis=1)
+
+
+def _marginals(d, q, ctrl, states):
+    target_ref = np.eye(d) / d
+    control_ref = capacity.reduced_control_state(d, q, ctrl).matrix
+    # one oracle call per state, as perfbench's trace counts them
+    for rho in states.matrix:
+        out = brute_force_switch_output(d, q, ctrl, DensityMatrix(rho))
+        tmarg = partial_trace(out, d, 2, "A").matrix - target_ref
+        cmarg = partial_trace(out, d, 2, "B").matrix - control_ref
+        yield max(np.abs(tmarg).max(), np.abs(cmarg).max())
 
 
 def _chi_vs_optimizer():
@@ -180,20 +184,16 @@ def _chi_vs_reference():
             yield abs(value - ref[f"{name}_d{d}"]), dict(d=d, quantity=name)
 
 
-def _marginals():
-    for d, q, p, ctrl, states in _state_grid((2, 3, 4), (0.0,), (0.5,), 10):
-        target_ref = np.eye(d) / d
-        control_ref = capacity.reduced_control_state(d, q, ctrl).matrix
-        # one oracle call per state, as perfbench's trace counts them
-        for seed, rho in enumerate(states.matrix):
-            out = brute_force_switch_output(d, q, ctrl, DensityMatrix(rho))
-            tmarg = partial_trace(out, d, 2, "A")
-            cmarg = partial_trace(out, d, 2, "B")
-            dev = max(
-                float(np.abs(tmarg.matrix - target_ref).max()),
-                float(np.abs(cmarg.matrix - control_ref).max()),
-            )
-            yield dev, dict(d=d, q=q, p=p, seed=seed)
+def _chi_vs_brute():
+    # by covariance under U (x) I, the basis |i><i| attains chi for either control
+    for d, q, p, coherent in itertools.product((2, 3), (0.0, 0.5), (0.2, 0.5), (True, False)):
+        ctrl = ControlState(p, coherent)
+        outs = brute_force_switch_output(d, q, ctrl, DensityMatrix(np.eye(d) * np.eye(d)[:, None]))
+        mean = DensityMatrix(outs.matrix.mean(axis=0))
+        chi = entropy_bits(mean.spectrum) - entropy_bits(outs.spectrum).mean()
+        for route, result in (("analytic", capacity.holevo_analytic(d, q, ctrl)),
+                              ("numeric", capacity.holevo_numeric(d, q, ctrl, trials=1, seed=0))):
+            yield abs(result.chi - chi), dict(d=d, q=q, p=p, coherent=coherent, route=route)
 
 
 def _cptp():
@@ -235,11 +235,16 @@ def _covariance():
 
 # Each suite yields (deviation, parameters) over its fixed grid.
 SUITES = {
-    "analytic-vs-brute": _analytic_vs_brute,
-    "spectrum-vs-eigensolver": _spectrum_vs_eigensolver,
+    "analytic-vs-brute": functools.partial(
+        _state_suite, (2, 3, 4), (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.3, 0.5, 1.0), 20,
+        _analytic_vs_brute),
+    "spectrum-vs-eigensolver": functools.partial(
+        _state_suite, (2, 3, 4, 5), (0.0, 0.3, 0.7, 1.0), (0.2, 0.5, 0.7), 10,
+        _spectrum_vs_eigensolver),
     "chi-vs-optimizer": _chi_vs_optimizer,
     "chi-vs-reference": _chi_vs_reference,
-    "marginals": _marginals,
+    "chi-vs-brute": _chi_vs_brute,
+    "marginals": functools.partial(_state_suite, (2, 3, 4), (0.0,), (0.5,), 10, _marginals),
     "cptp": _cptp,
     "covariance": _covariance,
 }

@@ -179,8 +179,8 @@ def test_every_public_function_is_reached_by_sweep_or_verify():
 
 
 def test_kraus_route_has_one_entry_point():
-    """The sweep and the chi-vs-optimizer suite build the Kraus route only
-    through ``capacity.holevo_numeric``, so a new route replaces one body."""
+    """The sweep and the chi-vs-optimizer and chi-vs-brute suites build the Kraus
+    route only through ``capacity.holevo_numeric``, so a new route replaces one body."""
     route = {fn.__code__: fn.__name__ for fn in (
         channels.depolarizing_channel, switch.switch_with_fixed_control,
         capacity.optimize_ensemble)}
@@ -197,6 +197,7 @@ def test_kraus_route_has_one_entry_point():
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["sweep", "--dims", "2", "--q", "0", "--trials", "1"]) == 0
             assert main(["verify", "chi-vs-optimizer"]) == 0
+            assert main(["verify", "chi-vs-brute"]) == 0
     finally:
         sys.setprofile(None)
     assert callers == {name: {"switchcap.capacity.holevo_numeric"} for name in route.values()}
@@ -364,6 +365,13 @@ class TestSweep:
         assert exc.value.code == 2
         assert "394 GB" in capsys.readouterr().err
 
+    def test_first_dimension_above_the_limit_usage_error(self):
+        # d = 16 is the largest row that fits; d = 17 is refused before computing
+        code, err = usage_error(["sweep", "--dims", "17", "--q", "0"])
+        assert code == 2
+        assert "2.33 GB of Kraus operators" in err
+        assert "Traceback" not in err
+
     def test_oversized_draws_usage_error(self):
         # the restarts' draws are made up front: 10^7 of them at d = 8 would not fit
         start = time.perf_counter()
@@ -393,6 +401,17 @@ class TestSweep:
         code, out = run(capsys, "sweep", *argv.split())
         assert code == 0
         assert out.encode() == (DATA / f"{name}.csv").read_bytes()
+
+    def test_rows_share_no_state(self, capsys):
+        # the d = 8 table is its two one-row sweeps, the second without its header
+        outs = []
+        for p in ("0.3", "0.5"):
+            argv = f"--dims 8 --q 0 --p {p} --trials 20 --seed 0".split()
+            code, out = run(capsys, "sweep", *argv)
+            assert code == 0
+            outs.append(out)
+        _, _, second_row = outs[1].partition("\n")
+        assert (outs[0] + second_row).encode() == (DATA / "sweep-d8.csv").read_bytes()
 
 
 class TestVerify:

@@ -50,7 +50,7 @@ ONE_STATE_DIFFERENCE = {
 
 # The suites that call the library; cptp and covariance check only the oracle
 LIBRARY_SUITES = {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-optimizer",
-                  "chi-vs-reference", "marginals"}
+                  "chi-vs-reference", "chi-vs-brute", "marginals"}
 
 # Each fault replaces one piece of a library function's source, on every
 # module that binds the function; the suites named with it must fail, and no
@@ -64,19 +64,28 @@ PLANTED_FAULTS = [
                  LIBRARY_SUITES, id="A-not-over-d"),
     pytest.param((switch, capacity), "depolarizing_switch_terms",
                  "2.0 * q * (1.0 - q)", "q * (1.0 - q)",
-                 {"analytic-vs-brute", "spectrum-vs-eigensolver"}, id="mix-halved"),
+                 {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-brute"},
+                 id="mix-halved"),
     pytest.param((switch,), "switch_channel",
                  "np.matmul(k1[None], k2[:, None],", "np.matmul(k2[:, None], k1[None],",
-                 {"chi-vs-optimizer"}, id="switch-one-order"),
+                 {"chi-vs-optimizer", "chi-vs-brute"}, id="switch-one-order"),
     pytest.param((capacity,), "holevo_analytic",
                  "np.eye(d)[0]", "np.full(d, 1.0 / d)",
-                 {"chi-vs-optimizer", "chi-vs-reference"}, id="h-min-mixed-input"),
+                 {"chi-vs-optimizer", "chi-vs-reference", "chi-vs-brute"},
+                 id="h-min-mixed-input"),
     pytest.param((capacity,), "_transfer_matrix",
                  "sub.T @ sub.conj()", "sub.T @ sub",
-                 {"chi-vs-optimizer"}, id="transfer-no-conj"),
+                 {"chi-vs-optimizer", "chi-vs-brute"}, id="transfer-no-conj"),
     pytest.param((ControlState,), "density",
                  "rho[0, 1] = rho[1, 0] = c", "rho[0, 1] = rho[1, 0] = c / 2",
                  LIBRARY_SUITES, id="coherence-halved"),
+    # the two branches for a dephased control
+    pytest.param((switch, capacity), "switch_with_fixed_control",
+                 "np.diag(amps)[amps > 0]", "amps[None]",
+                 {"chi-vs-brute"}, id="dephased-kraus-as-coherent"),
+    pytest.param((ControlState,), "density",
+                 "if self.coherent:", "if True:",
+                 {"chi-vs-brute"}, id="dephased-density-as-coherent"),
     pytest.param((capacity,), "optimize_ensemble",
                  "best_chi = max(best_chi, _chi_pure(transfer, ch.dim_out, w / w.sum(), v))",
                  "continue", set(), id="no-restarts"),
@@ -256,9 +265,16 @@ class TestVerifyEquivalence:
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_fast_suites_pass(self, suite):
+        # each suite tests its whole grid, once: one that drops or repeats an
+        # instance fails here, and so does a suite missing from the table
+        instances = {"analytic-vs-brute": 1200, "spectrum-vs-eigensolver": 480,
+                     "chi-vs-optimizer": 6, "chi-vs-reference": 15, "chi-vs-brute": 32,
+                     "marginals": 30, "cptp": 9, "covariance": 132}
+        assert instances.keys() == SUITES.keys()
         report = suite_report(suite)
-        assert report.max_abs_deviation <= 1e-10
-        assert report.instances_tested > 0
+        # every suite reads 1.2e-14 or less, so a precision loss fails here
+        assert report.max_abs_deviation <= 1e-12
+        assert report.instances_tested == instances[suite]
 
     def test_report_serialization(self):
         report = ComparisonReport("demo", 1e-12, 5, {"d": 2, "q": 0.0})
