@@ -1,12 +1,11 @@
 """Holevo information of the switched depolarizing channel.
 
-The closed-form output is I (x) A + rho (x) B, with (A, B) from
-``switch.depolarizing_switch_terms``. With the control fixed, coherent or
-dephased, the channel is covariant under target unitaries U (x) I, so by
-Holevo's covariant-channel theorem chi = log2(d) + H(d A + B) - H_min at every
-control weight p, and the uniform orthonormal ensemble attains it. d A + B is
-the control marginal; H_min is the entropy of the 2x2 blocks A + lam B at a
-pure input.
+The closed-form output is I (x) A + rho (x) B; the analytic functions read
+the (d, A, B) of ``switch.depolarizing_switch_terms``. With the control fixed,
+coherent or dephased, the channel is covariant under target unitaries U (x) I,
+so by Holevo's covariant-channel theorem chi = log2(d) + H(d A + B) - H_min at
+every control weight p, and the uniform orthonormal ensemble attains it. d A + B
+is the control marginal; H_min is the entropy of A + lam B at a pure input.
 A seeded random-restart search over ensembles is kept as an independent
 check: it must reach the closed form and never exceed it.
 """
@@ -19,7 +18,7 @@ import numpy as np
 
 from .channels import KrausChannel, depolarizing_channel
 from .qmat import TOL, DensityMatrix, DimensionMismatchError, entropy_bits
-from .switch import ControlState, depolarizing_switch_terms, switch_with_fixed_control
+from .switch import ControlState, switch_with_fixed_control
 
 
 class AnalyticCapacity(NamedTuple):
@@ -34,35 +33,34 @@ class OptimizerResult(NamedTuple):
     refine_steps: int  # always 0: there is no local refinement
 
 
-def reduced_control_state(d: int, q: float, ctrl: ControlState) -> DensityMatrix:
+def reduced_control_state(terms) -> DensityMatrix:
     """2x2 control marginal of the switched depolarizing output: d A + B."""
-    a, b = depolarizing_switch_terms(d, q, ctrl)
+    d, a, b = terms
     return DensityMatrix(d * a + b)
 
 
-def switched_spectrum(d: int, q: float, ctrl: ControlState, rho_spectrum) -> np.ndarray:
+def switched_spectrum(terms, rho_spectrum) -> np.ndarray:
     """Eigenvalues of the joint output, descending, from those of the input.
 
     In the eigenbasis of rho the output I (x) A + rho (x) B splits into one
     2x2 control block A + lam B per input eigenvalue lam. A ``(..., d)`` stack
     of input spectra gives a ``(..., 2d)`` stack of output spectra.
     """
+    d, a, b = terms
     lam = np.asarray(rho_spectrum, dtype=float)
     if lam.shape[-1:] != (d,):
         raise DimensionMismatchError(f"expected {d} eigenvalues, got {lam.shape}")
-    a, b = depolarizing_switch_terms(d, q, ctrl)
     blocks = np.linalg.eigvalsh(a + lam[..., None, None] * b)
     return np.sort(blocks.reshape(lam.shape[:-1] + (2 * d,)), axis=-1)[..., ::-1]
 
 
-def holevo_analytic(d: int, q: float, ctrl: ControlState) -> AnalyticCapacity:
+def holevo_analytic(terms) -> AnalyticCapacity:
     """chi = log2(d) + H(control marginal) - H_min, for a coherent or dephased
     control. H_min, the minimum output entropy, is attained on pure inputs."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    hc = entropy_bits(reduced_control_state(d, q, ctrl).spectrum)
+    d = terms[0]
+    hc = entropy_bits(reduced_control_state(terms).spectrum)
     # a pure input has eigenvalues 1, 0, ..., 0
-    hm = entropy_bits(switched_spectrum(d, q, ctrl, np.eye(d)[0]))
+    hm = entropy_bits(switched_spectrum(terms, np.eye(d)[0]))
     chi = np.log2(d) + hc - hm
     # a zero chi can cancel to a few ulps below 0: round-off in [-TOL, 0) is 0
     return AnalyticCapacity(0.0 if -TOL <= chi < 0 else chi, hc, hm)

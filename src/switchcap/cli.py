@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import capacity, oracle
-from .switch import ControlState
+from .switch import ControlState, depolarizing_switch_terms
 
 
 class SweepRow(NamedTuple):
@@ -87,7 +87,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     for d, q, p in itertools.product(cfg.dims, cfg.q_values, cfg.p_values):
         ctrl = ControlState(p)
         chi_n = capacity.holevo_numeric(d, q, ctrl, cfg.optimizer_trials, cfg.seed).chi
-        chi_a, hc, hm = capacity.holevo_analytic(d, q, ctrl)
+        chi_a, hc, hm = capacity.holevo_analytic(depolarizing_switch_terms(d, q, ctrl))
         rows.append(SweepRow(d, q, p, chi_a, chi_n, hc, hm))
     return rows
 

@@ -136,30 +136,33 @@ def reference_constants() -> dict[str, float]:
 
 def _state_suite(dims, q_values, p_values, n_states, deviations):
     """Each state's (deviation, parameters) over a grid, in d, q, p, seed order:
-    ``deviations(d, q, ControlState(p), states)`` gives one per state. The Ginibre
-    states of seeds 0 to n_states - 1 are one stack, drawn and validated once per d."""
+    ``deviations(d, q, ctrl, terms, states)`` gives one per state, where ``terms`` is
+    the library's (d, A, B). The Ginibre states of seeds 0 to n_states - 1 are one
+    stack, drawn and validated once per d."""
     for d in dims:
         states = DensityMatrix(np.stack([_ginibre(d, seed) for seed in range(n_states)]))
         for q, p in itertools.product(q_values, p_values):
-            for seed, dev in enumerate(deviations(d, q, ControlState(p), states)):
+            ctrl = ControlState(p)
+            terms = switch.depolarizing_switch_terms(d, q, ctrl)
+            for seed, dev in enumerate(deviations(d, q, ctrl, terms, states)):
                 yield float(dev), dict(d=d, q=q, p=p, seed=seed)
 
 
-def _analytic_vs_brute(d, q, ctrl, states):
+def _analytic_vs_brute(d, q, ctrl, terms, states):
     brute = brute_force_switch_output(d, q, ctrl, states)
-    analytic = switch.switched_depolarizing_analytic(d, q, ctrl, states)
+    analytic = switch.switched_depolarizing_analytic(terms, states)
     return np.abs(brute.matrix - analytic.matrix).max(axis=(1, 2))
 
 
-def _spectrum_vs_eigensolver(d, q, ctrl, states):
-    predicted = capacity.switched_spectrum(d, q, ctrl, states.spectrum)
+def _spectrum_vs_eigensolver(d, q, ctrl, terms, states):
+    predicted = capacity.switched_spectrum(terms, states.spectrum)
     out = brute_force_switch_output(d, q, ctrl, states)
     return np.abs(predicted - out.spectrum).max(axis=1)
 
 
-def _marginals(d, q, ctrl, states):
+def _marginals(d, q, ctrl, terms, states):
     target_ref = np.eye(d) / d
-    control_ref = capacity.reduced_control_state(d, q, ctrl).matrix
+    control_ref = capacity.reduced_control_state(terms).matrix
     # one oracle call per state, as perfbench's trace counts them
     for rho in states.matrix:
         out = brute_force_switch_output(d, q, ctrl, DensityMatrix(rho))
@@ -169,18 +172,18 @@ def _marginals(d, q, ctrl, states):
 
 
 def _chi_vs_optimizer():
-    for d in (2, 3):
-        for p in (0.2, 0.5, 0.7):
-            ctrl = ControlState(p)
-            result = capacity.holevo_numeric(d, 0.0, ctrl, trials=200, seed=0)
-            chi = capacity.holevo_analytic(d, 0.0, ctrl).chi
-            yield abs(result.chi - chi), dict(d=d, q=0.0, p=p, seed=0)
+    for d, p, coherent in itertools.product((2, 3), (0.2, 0.5, 0.7), (True, False)):
+        ctrl = ControlState(p, coherent)
+        result = capacity.holevo_numeric(d, 0.0, ctrl, trials=200, seed=0)
+        chi = capacity.holevo_analytic(switch.depolarizing_switch_terms(d, 0.0, ctrl)).chi
+        yield abs(result.chi - chi), dict(d=d, q=0.0, p=p, coherent=coherent, seed=0)
 
 
 def _chi_vs_reference():
     ref = reference_constants()
     for d in (2, 3, 4, 5, 6):
-        for name, value in capacity.holevo_analytic(d, 0.0, ControlState(0.5))._asdict().items():
+        terms = switch.depolarizing_switch_terms(d, 0.0, ControlState(0.5))
+        for name, value in capacity.holevo_analytic(terms)._asdict().items():
             yield abs(value - ref[f"{name}_d{d}"]), dict(d=d, quantity=name)
 
 
@@ -191,7 +194,8 @@ def _chi_vs_brute():
         outs = brute_force_switch_output(d, q, ctrl, DensityMatrix(np.eye(d) * np.eye(d)[:, None]))
         mean = DensityMatrix(outs.matrix.mean(axis=0))
         chi = entropy_bits(mean.spectrum) - entropy_bits(outs.spectrum).mean()
-        for route, result in (("analytic", capacity.holevo_analytic(d, q, ctrl)),
+        terms = switch.depolarizing_switch_terms(d, q, ctrl)
+        for route, result in (("analytic", capacity.holevo_analytic(terms)),
                               ("numeric", capacity.holevo_numeric(d, q, ctrl, trials=1, seed=0))):
             yield abs(result.chi - chi), dict(d=d, q=q, p=p, coherent=coherent, route=route)
 

@@ -76,32 +76,30 @@ def switch_with_fixed_control(
 
 def depolarizing_switch_terms(
     d: int, q: float, ctrl: ControlState
-) -> tuple[np.ndarray, np.ndarray]:
-    """The real 2x2 control operators (A, B) of the closed-form SWITCH output.
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The closed-form terms (d, A, B): the one place where d and q are checked.
 
-    Two noise-q depolarizers in a SWITCH send rho (x) rho_c to
-    I (x) A + rho (x) B, for a coherent or a dephased control rho_c. Each
+    Two noise-q depolarizers in a SWITCH send rho (x) rho_c to I (x) A + rho (x) B,
+    with A and B real 2x2, for a coherent or a dephased control rho_c. Each
     control block maps rho to alpha rho + beta Tr(rho) I/d, so, entrywise,
       A = rho_c * beta / d,  beta = [[1-q^2, 2q(1-q)], [2q(1-q), 1-q^2]]
       B = rho_c * alpha,     alpha = [[q^2, q^2 + (1-q)^2/d^2], [same, q^2]]
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    if d < 2 or not 0.0 <= q <= 1.0:
+        raise ValueError(f"need d >= 2 and q in [0, 1], got d = {d}, q = {q}")
     q2, mix = q**2, 2.0 * q * (1.0 - q)
     twirl = q2 + (1.0 - q) ** 2 / d**2
     beta_alpha = np.array(
         [[[1.0 - q2, mix], [mix, 1.0 - q2]], [[q2, twirl], [twirl, q2]]]
     )
     rho_c_beta, b = ctrl.density().real * beta_alpha
-    return rho_c_beta / d, b
+    return d, rho_c_beta / d, b
 
 
-def switched_depolarizing_analytic(
-    d: int, q: float, ctrl: ControlState, rho: DensityMatrix
-) -> DensityMatrix:
+def switched_depolarizing_analytic(terms, rho: DensityMatrix) -> DensityMatrix:
     """Closed-form SWITCH output I (x) A + rho (x) B, in target (x) control order;
     a stack of states gives the stack of their outputs."""
+    d, a, b = terms
     if rho.dim != d:
         raise DimensionMismatchError(f"state dimension {rho.dim} != {d}")
-    a, b = depolarizing_switch_terms(d, q, ctrl)
     return DensityMatrix(tensor(np.eye(d), a) + tensor(rho.matrix, b))

@@ -9,7 +9,12 @@ from switchcap.capacity import holevo_analytic, optimize_ensemble
 from switchcap.channels import KrausChannel, depolarizing_channel
 from switchcap.cli import main
 from switchcap.qmat import DensityMatrix, tensor
-from switchcap.switch import ControlState, switch_channel, switch_with_fixed_control
+from switchcap.switch import (
+    ControlState,
+    depolarizing_switch_terms as terms,
+    switch_channel,
+    switch_with_fixed_control,
+)
 
 from helpers import (
     apply,
@@ -37,20 +42,20 @@ def test_criterion_1_closed_form_equivalence():
 
 
 def test_criterion_2_capacity_values():
-    chi2 = holevo_analytic(2, 0.0, PLUS).chi
-    chi3 = holevo_analytic(3, 0.0, PLUS).chi
+    chi2 = holevo_analytic(terms(2, 0.0, PLUS)).chi
+    chi3 = holevo_analytic(terms(3, 0.0, PLUS)).chi
     ok = abs(chi2 - 0.048795) <= 1e-6 and abs(chi3 - 0.018311) <= 1e-6
     report("2 capacity reference values", ok, f"chi(2,0)={chi2:.6f}, chi(3,0)={chi3:.6f}")
 
 
 def test_criterion_3_dimension_monotonicity():
-    chis = [holevo_analytic(d, 0.0, PLUS).chi for d in range(2, 7)]
+    chis = [holevo_analytic(terms(d, 0.0, PLUS)).chi for d in range(2, 7)]
     ok = all(a > b for a, b in zip(chis, chis[1:]))
     report("3 capacity decreases with dimension", ok, str([f"{c:.5f}" for c in chis]))
 
 
 def test_criterion_4_noiseless_limit():
-    devs = [abs(holevo_analytic(d, 1.0, PLUS).chi - np.log2(d)) for d in range(2, 6)]
+    devs = [abs(holevo_analytic(terms(d, 1.0, PLUS)).chi - np.log2(d)) for d in range(2, 6)]
     report("4 noiseless limit log2(d)", max(devs) <= 1e-9, f"max dev {max(devs):.2e}")
 
 
@@ -60,7 +65,7 @@ def test_criterion_5_optimizer_attainment_and_bound():
     for d in (2, 3):
         dep = depolarizing_channel(d, 0.0)
         ch = switch_with_fixed_control(dep, dep, PLUS)
-        chi = holevo_analytic(d, 0.0, PLUS).chi
+        chi = holevo_analytic(terms(d, 0.0, PLUS)).chi
         result = optimize_ensemble(ch, trials=500, seed=0)
         worst_gap = max(worst_gap, abs(result.chi - chi))
         worst_excess = max(worst_excess, result.chi - chi)
@@ -89,7 +94,7 @@ def test_criterion_6_decoherence_null():
     dep = depolarizing_channel(2, 0.0)
     ch = switch_with_fixed_control(dep, dep, dephased)
     result = optimize_ensemble(ch, trials=100, seed=0)
-    closed = holevo_analytic(2, 0.0, dephased).chi
+    closed = holevo_analytic(terms(2, 0.0, dephased)).chi
     ok = result.chi <= 1e-9 and closed == 0.0
     detail = f"chi {result.chi:.2e}, closed form {closed:.2e}"
     report("6 dephased control transmits nothing", ok, detail)

@@ -18,6 +18,7 @@ from switchcap.qmat import (
 )
 from switchcap.switch import (
     ControlState,
+    depolarizing_switch_terms as terms,
     switch_with_fixed_control,
     switched_depolarizing_analytic,
 )
@@ -96,19 +97,19 @@ def reference_optimize(ch, trials, seed):
 
 class TestReducedControlState:
     def test_d2_q0_eigenvalues(self):
-        rc = reduced_control_state(2, 0.0, PLUS)
+        rc = reduced_control_state(terms(2, 0.0, PLUS))
         np.testing.assert_allclose(
             rc.spectrum, (5 / 8, 3 / 8), atol=1e-12
         )
 
     def test_q1_is_pure_control(self):
-        rc = reduced_control_state(4, 1.0, PLUS)
-        np.testing.assert_allclose(rc.matrix, PLUS.density(), atol=1e-12)
-        assert holevo_analytic(4, 1.0, PLUS).entropy_control == pytest.approx(0.0, abs=1e-12)
+        t = terms(4, 1.0, PLUS)
+        np.testing.assert_allclose(reduced_control_state(t).matrix, PLUS.density(), atol=1e-12)
+        assert holevo_analytic(t).entropy_control == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_offdiagonal_scaling(self, d):
-        rc = reduced_control_state(d, 0.0, PLUS)
+        rc = reduced_control_state(terms(d, 0.0, PLUS))
         assert rc.matrix[0, 1] == pytest.approx(1 / (2 * d**2))
 
     @given(st.integers(0, 200), st.sampled_from([2, 3]), st.sampled_from([0.0, 0.4, 0.8]))
@@ -118,17 +119,17 @@ class TestReducedControlState:
         js = switch_apply(dep, dep, ginibre(d, seed), PLUS)
         marg = partial_trace(js, d, 2, "B")
         np.testing.assert_allclose(
-            marg.matrix, reduced_control_state(d, q, PLUS).matrix, atol=1e-10
+            marg.matrix, reduced_control_state(terms(d, q, PLUS)).matrix, atol=1e-10
         )
 
 
 class TestSwitchedSpectrum:
     def test_d2_q0_pure(self):
-        spec = switched_spectrum(2, 0.0, PLUS, [1.0, 0.0])
+        spec = switched_spectrum(terms(2, 0.0, PLUS), [1.0, 0.0])
         np.testing.assert_allclose(spec, [3 / 8, 1 / 4, 1 / 4, 1 / 8], atol=1e-12)
 
     def test_q1_pure_input_stays_pure(self):
-        spec = switched_spectrum(3, 1.0, PLUS, [1.0, 0.0, 0.0])
+        spec = switched_spectrum(terms(3, 1.0, PLUS), [1.0, 0.0, 0.0])
         np.testing.assert_allclose(spec[0], 1.0, atol=1e-12)
         assert spec.sum() == pytest.approx(1.0)
 
@@ -137,7 +138,7 @@ class TestSwitchedSpectrum:
     def test_sums_to_one(self, d, q):
         for seed in range(5):
             rho = ginibre(d, seed)
-            spec = switched_spectrum(d, q, PLUS, rho.spectrum)
+            spec = switched_spectrum(terms(d, q, PLUS), rho.spectrum)
             assert abs(spec.sum() - 1.0) <= 1e-12
 
     @given(
@@ -150,8 +151,9 @@ class TestSwitchedSpectrum:
     def test_matches_eigensolver(self, seed, d, q, p):
         rho = ginibre(d, seed)
         ctrl = ControlState(p)
-        predicted = switched_spectrum(d, q, ctrl, rho.spectrum)
-        js = switched_depolarizing_analytic(d, q, ctrl, rho)
+        t = terms(d, q, ctrl)
+        predicted = switched_spectrum(t, rho.spectrum)
+        js = switched_depolarizing_analytic(t, rho)
         solved = js.spectrum
         np.testing.assert_allclose(predicted, solved, atol=1e-10)
 
@@ -165,7 +167,7 @@ class TestSwitchedSpectrum:
     def test_returns_descending_array(self, seed, d, q, p):
         # the input order does not matter: an ascending spectrum is passed
         lam = ginibre(d, seed).spectrum[::-1]
-        spec = switched_spectrum(d, q, ControlState(p), lam)
+        spec = switched_spectrum(terms(d, q, ControlState(p)), lam)
         assert isinstance(spec, np.ndarray) and spec.shape == (2 * d,)
         assert np.all(spec[:-1] >= spec[1:])
 
@@ -173,49 +175,50 @@ class TestSwitchedSpectrum:
         # a single spectrum, a stack of them and a scalar
         for spectrum in ([1.0, 0.0], np.full((4, 2), 0.5), 1.0):
             with pytest.raises(DimensionMismatchError):
-                switched_spectrum(3, 0.0, PLUS, spectrum)
+                switched_spectrum(terms(3, 0.0, PLUS), spectrum)
 
 
 class TestMinimumEntropy:
     def test_frozen_values(self):
-        assert holevo_analytic(2, 0.0, PLUS).h_min == pytest.approx(HMIN_D2_Q0, abs=1e-6)
-        assert holevo_analytic(3, 0.0, PLUS).h_min == pytest.approx(HMIN_D3_Q0, abs=1e-6)
+        assert holevo_analytic(terms(2, 0.0, PLUS)).h_min == pytest.approx(HMIN_D2_Q0, abs=1e-6)
+        assert holevo_analytic(terms(3, 0.0, PLUS)).h_min == pytest.approx(HMIN_D3_Q0, abs=1e-6)
 
     def test_noiseless_is_zero(self):
         for d in (2, 3, 4):
-            assert holevo_analytic(d, 1.0, PLUS).h_min == pytest.approx(0.0, abs=1e-12)
+            assert holevo_analytic(terms(d, 1.0, PLUS)).h_min == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_inputs_minimize(self):
         # entropy of any mixed-input spectrum must not fall below h_min
         for p in P_GRID:
             ctrl = ControlState(p)
-            h_min = holevo_analytic(3, 0.2, ctrl).h_min
+            t = terms(3, 0.2, ctrl)
+            h_min = holevo_analytic(t).h_min
             for seed in range(20):
                 rho = ginibre(3, seed)
-                spec = switched_spectrum(3, 0.2, ctrl, rho.spectrum)
+                spec = switched_spectrum(t, rho.spectrum)
                 assert entropy_bits(spec) >= h_min - 1e-12
 
 
 class TestHolevoAnalytic:
     def test_frozen_values(self):
-        a2 = holevo_analytic(2, 0.0, PLUS)
+        a2 = holevo_analytic(terms(2, 0.0, PLUS))
         assert a2.chi == pytest.approx(CHI_D2_Q0, abs=1e-6)
         assert a2.entropy_control == pytest.approx(HC_D2_Q0, abs=1e-6)
-        a3 = holevo_analytic(3, 0.0, PLUS)
+        a3 = holevo_analytic(terms(3, 0.0, PLUS))
         assert a3.chi == pytest.approx(CHI_D3_Q0, abs=1e-6)
         assert a3.entropy_control == pytest.approx(HC_D3_Q0, abs=1e-6)
 
     def test_noiseless_limit(self):
         for d in (2, 3, 4, 5):
-            assert holevo_analytic(d, 1.0, PLUS).chi == pytest.approx(np.log2(d), abs=1e-9)
+            assert holevo_analytic(terms(d, 1.0, PLUS)).chi == pytest.approx(np.log2(d), abs=1e-9)
 
     def test_decreases_with_dimension(self):
-        chis = [holevo_analytic(d, 0.0, PLUS).chi for d in range(2, 7)]
+        chis = [holevo_analytic(terms(d, 0.0, PLUS)).chi for d in range(2, 7)]
         assert all(a > b for a, b in zip(chis, chis[1:]))
 
     def test_consistency_identity(self):
         for d, q in ((2, 0.0), (3, 0.5), (4, 0.9)):
-            a = holevo_analytic(d, q, PLUS)
+            a = holevo_analytic(terms(d, q, PLUS))
             assert a.chi == pytest.approx(
                 np.log2(d) + a.entropy_control - a.h_min, abs=1e-12
             )
@@ -223,13 +226,20 @@ class TestHolevoAnalytic:
     @given(st.integers(2, 16), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_within_its_bounds(self, d, q, p, coherent):
-        a = holevo_analytic(d, q, ControlState(p, coherent=coherent))
+        def chi(p, coherent):
+            return holevo_analytic(terms(d, q, ControlState(p, coherent=coherent)))
+
+        a = chi(p, coherent)
         assert 0.0 <= a.chi <= np.log2(d) + a.entropy_control
+        # p <-> 1 - p swaps the weights of the two orders, each the same channel twice
+        assert abs(a.chi - chi(1.0 - p, coherent).chi) <= 1e-12
+        # a coherent control never carries less than a dephased one
+        assert chi(p, True).chi >= chi(p, False).chi - 1e-12
 
     def test_continuous_in_q(self):
         # steep but continuous near q=1; gaps shrink under grid refinement
         def max_gap(n):
-            chis = [holevo_analytic(2, q, PLUS).chi for q in np.linspace(0, 1, n)]
+            chis = [holevo_analytic(terms(2, q, PLUS)).chi for q in np.linspace(0, 1, n)]
             return max(abs(a - b) for a, b in zip(chis, chis[1:]))
 
         assert max_gap(201) < 0.05
@@ -247,8 +257,8 @@ class TestHolevoOfEnsemble:
                 ctrl = ControlState(p)
                 ch = switch_with_fixed_control(dep, dep, ctrl)
                 chi = orthonormal_chi(ch)
-                assert chi == pytest.approx(holevo_analytic(2, q, ctrl).chi, abs=1e-12)
-        assert holevo_analytic(2, 0.0, PLUS).chi == pytest.approx(CHI_D2_Q0, abs=1e-6)
+                assert chi == pytest.approx(holevo_analytic(terms(2, q, ctrl)).chi, abs=1e-12)
+        assert holevo_analytic(terms(2, 0.0, PLUS)).chi == pytest.approx(CHI_D2_Q0, abs=1e-6)
 
     def test_single_state_ensemble(self):
         ch = identity_channel(3)
@@ -269,7 +279,7 @@ class TestHolevoOfEnsemble:
             v /= np.linalg.norm(v)
             states.append(DensityMatrix(np.outer(v, v.conj())))
         probs = rng.dirichlet(np.ones(m))
-        chi = holevo_analytic(d, 0.0, ctrl).chi
+        chi = holevo_analytic(terms(d, 0.0, ctrl)).chi
         assert holevo_of_ensemble(ch, probs, states) <= chi + 1e-12
 
 
@@ -373,7 +383,7 @@ class TestOptimizer:
             ctrl = ControlState(p)
             ch = switch_with_fixed_control(dep, dep, ctrl)
             res = optimize_ensemble(ch, trials=100, seed=0)
-            assert res.chi == pytest.approx(holevo_analytic(2, 0.0, ctrl).chi, abs=1e-12)
+            assert res.chi == pytest.approx(holevo_analytic(terms(2, 0.0, ctrl)).chi, abs=1e-12)
             assert res.refine_steps == 0
 
     def test_dephased_control_transmits_nothing(self):
@@ -382,7 +392,7 @@ class TestOptimizer:
         ch = switch_with_fixed_control(dep, dep, dephased)
         res = optimize_ensemble(ch, trials=50, seed=0)
         assert res.chi <= 1e-9
-        assert holevo_analytic(2, 0.0, dephased).chi == 0.0
+        assert holevo_analytic(terms(2, 0.0, dephased)).chi == 0.0
 
     def test_deterministic_in_seed(self):
         dep = depolarizing_channel(2, 0.0)

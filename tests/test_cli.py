@@ -275,6 +275,22 @@ class TestSweep:
         singles = [sweep_csv([d], [q], [p], seed).splitlines()[1] for d, q, p in product(*unique)]
         assert table.splitlines()[1:] == singles
 
+    def test_one_row_builds_its_closed_form_once(self):
+        # every analytic column of a row reads the one (d, A, B) that it builds
+        code = switch.depolarizing_switch_terms.__code__
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code is code
+
+        sys.setprofile(count)
+        try:
+            run_sweep(SweepConfig(dims=(2,), q_values=(0.0,), optimizer_trials=1))
+        finally:
+            sys.setprofile(None)
+        assert calls == 1
+
     def test_sweep_peaks_at_one_row(self):
         # each row frees its Kraus stacks before the next row builds its own
         def traced_peak(ps):

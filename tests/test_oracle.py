@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchcap import capacity, switch
+from switchcap import capacity, cli, switch
 from switchcap.capacity import reduced_control_state, switched_spectrum
 from switchcap.channels import depolarizing_channel
 from switchcap.oracle import (
@@ -23,7 +23,11 @@ from switchcap.oracle import (
     verify_equivalence,
 )
 from switchcap.qmat import DensityMatrix, partial_trace, tensor
-from switchcap.switch import ControlState, switched_depolarizing_analytic
+from switchcap.switch import (
+    ControlState,
+    depolarizing_switch_terms as terms,
+    switched_depolarizing_analytic,
+)
 
 from helpers import ginibre, suite_report, switch_apply
 
@@ -32,8 +36,9 @@ PLUS = ControlState(0.5)
 
 def _marginal_difference(d, q, ctrl, rho):
     out = brute_force_switch_output(d, q, ctrl, rho)
+    control_ref = reduced_control_state(terms(d, q, ctrl)).matrix
     target = partial_trace(out, d, 2, "A").matrix - np.eye(d) / d
-    control = partial_trace(out, d, 2, "B").matrix - reduced_control_state(d, q, ctrl).matrix
+    control = partial_trace(out, d, 2, "B").matrix - control_ref
     return np.concatenate([target.ravel(), control.ravel()])
 
 
@@ -41,9 +46,9 @@ def _marginal_difference(d, q, ctrl, rho):
 ONE_STATE_DIFFERENCE = {
     "analytic-vs-brute": lambda d, q, ctrl, rho: (
         brute_force_switch_output(d, q, ctrl, rho).matrix
-        - switched_depolarizing_analytic(d, q, ctrl, rho).matrix),
+        - switched_depolarizing_analytic(terms(d, q, ctrl), rho).matrix),
     "spectrum-vs-eigensolver": lambda d, q, ctrl, rho: (
-        switched_spectrum(d, q, ctrl, rho.spectrum)
+        switched_spectrum(terms(d, q, ctrl), rho.spectrum)
         - brute_force_switch_output(d, q, ctrl, rho).spectrum),
     "marginals": _marginal_difference,
 }
@@ -56,19 +61,31 @@ LIBRARY_SUITES = {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-optimi
 # module that binds the function; the suites named with it must fail, and no
 # other.
 PLANTED_FAULTS = [
-    pytest.param((switch, capacity), "depolarizing_switch_terms",
+    pytest.param((switch, cli), "depolarizing_switch_terms",
                  "(1.0 - q) ** 2 / d**2", "(1.0 - q) ** 2 / d",
                  LIBRARY_SUITES, id="twirl-over-d"),
-    pytest.param((switch, capacity), "depolarizing_switch_terms",
-                 "return rho_c_beta / d, b", "return rho_c_beta, b",
+    pytest.param((switch, cli), "depolarizing_switch_terms",
+                 "return d, rho_c_beta / d, b", "return d, rho_c_beta, b",
                  LIBRARY_SUITES, id="A-not-over-d"),
-    pytest.param((switch, capacity), "depolarizing_switch_terms",
+    pytest.param((switch, cli), "depolarizing_switch_terms",
                  "2.0 * q * (1.0 - q)", "q * (1.0 - q)",
                  {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-brute"},
                  id="mix-halved"),
     pytest.param((switch,), "switch_channel",
                  "np.matmul(k1[None], k2[:, None],", "np.matmul(k2[:, None], k1[None],",
                  {"chi-vs-optimizer", "chi-vs-brute"}, id="switch-one-order"),
+    pytest.param((capacity,), "switched_spectrum",
+                 "a + lam[..., None, None] * b", "lam[..., None, None] * a + b",
+                 {"spectrum-vs-eigensolver", "chi-vs-optimizer", "chi-vs-reference",
+                  "chi-vs-brute"}, id="spectrum-lam-times-A"),
+    pytest.param((capacity,), "switched_spectrum",
+                 "np.sort(blocks.reshape(lam.shape[:-1] + (2 * d,)), axis=-1)[..., ::-1]",
+                 "blocks.reshape(lam.shape[:-1] + (2 * d,))",
+                 {"spectrum-vs-eigensolver"}, id="spectrum-unsorted"),
+    pytest.param((capacity,), "reduced_control_state",
+                 "d * a + b", "a + b",
+                 {"marginals", "chi-vs-optimizer", "chi-vs-reference", "chi-vs-brute"},
+                 id="marginal-A-not-times-d"),
     pytest.param((capacity,), "holevo_analytic",
                  "np.eye(d)[0]", "np.full(d, 1.0 / d)",
                  {"chi-vs-optimizer", "chi-vs-reference", "chi-vs-brute"},
@@ -82,10 +99,10 @@ PLANTED_FAULTS = [
     # the two branches for a dephased control
     pytest.param((switch, capacity), "switch_with_fixed_control",
                  "np.diag(amps)[amps > 0]", "amps[None]",
-                 {"chi-vs-brute"}, id="dephased-kraus-as-coherent"),
+                 {"chi-vs-optimizer", "chi-vs-brute"}, id="dephased-kraus-as-coherent"),
     pytest.param((ControlState,), "density",
                  "if self.coherent:", "if True:",
-                 {"chi-vs-brute"}, id="dephased-density-as-coherent"),
+                 {"chi-vs-optimizer", "chi-vs-brute"}, id="dephased-density-as-coherent"),
     pytest.param((capacity,), "optimize_ensemble",
                  "best_chi = max(best_chi, _chi_pure(transfer, ch.dim_out, w / w.sum(), v))",
                  "continue", set(), id="no-restarts"),
@@ -174,7 +191,7 @@ class TestBruteForce:
         library = switch_apply(dep, dep, rho, ctrl).matrix
         assert np.abs(brute - library).max() <= 1e-13
         # the analytic-vs-brute suite checks the closed form for a coherent control only
-        closed = switched_depolarizing_analytic(d, q, ctrl, rho).matrix
+        closed = switched_depolarizing_analytic(terms(d, q, ctrl), rho).matrix
         assert np.abs(brute - closed).max() <= 1e-12
 
     def test_cached_stacks_are_read_only_and_shared(self):
@@ -212,16 +229,17 @@ class TestStackedStates:
         ctrl = ControlState(p, coherent=coherent)
         rhos = [ginibre(d, seed + i) for i in range(m)]
         states = DensityMatrix(np.stack([rho.matrix for rho in rhos]))
+        t = terms(d, q, ctrl)
         brute = brute_force_switch_output(d, q, ctrl, states).matrix
-        closed = switched_depolarizing_analytic(d, q, ctrl, states).matrix
-        spectra = switched_spectrum(d, q, ctrl, states.spectrum)
+        closed = switched_depolarizing_analytic(t, states).matrix
+        spectra = switched_spectrum(t, states.spectrum)
         assert brute.shape == closed.shape == (m, 2 * d, 2 * d)
         assert spectra.shape == (m, 2 * d)
         for i, rho in enumerate(rhos):
             rows = (brute[i], closed[i], spectra[i])
             singles = (brute_force_switch_output(d, q, ctrl, rho).matrix,
-                       switched_depolarizing_analytic(d, q, ctrl, rho).matrix,
-                       switched_spectrum(d, q, ctrl, rho.spectrum))
+                       switched_depolarizing_analytic(t, rho).matrix,
+                       switched_spectrum(t, rho.spectrum))
             for row, single in zip(rows, singles):
                 assert np.abs(row - single).max() <= 1e-15
 
@@ -268,7 +286,7 @@ class TestVerifyEquivalence:
         # each suite tests its whole grid, once: one that drops or repeats an
         # instance fails here, and so does a suite missing from the table
         instances = {"analytic-vs-brute": 1200, "spectrum-vs-eigensolver": 480,
-                     "chi-vs-optimizer": 6, "chi-vs-reference": 15, "chi-vs-brute": 32,
+                     "chi-vs-optimizer": 12, "chi-vs-reference": 15, "chi-vs-brute": 32,
                      "marginals": 30, "cptp": 9, "covariance": 132}
         assert instances.keys() == SUITES.keys()
         report = suite_report(suite)

@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +10,7 @@ from switchcap.channels import KrausChannel, depolarizing_channel
 from switchcap.qmat import DensityMatrix, partial_trace, tensor
 from switchcap.switch import (
     ControlState,
-    depolarizing_switch_terms,
+    depolarizing_switch_terms as terms,
     switch_channel,
     switch_with_fixed_control,
     switched_depolarizing_analytic,
@@ -128,7 +132,7 @@ class TestSwitchApply:
         dep = depolarizing_channel(2, 0.0)
         rho = DensityMatrix(np.diag([1.0, 0.0]))
         js = switch_apply(dep, dep, rho, PLUS)
-        ref = switched_depolarizing_analytic(2, 0.0, PLUS, rho)
+        ref = switched_depolarizing_analytic(terms(2, 0.0, PLUS), rho)
         np.testing.assert_allclose(js.matrix, ref.matrix, atol=1e-10)
 
     def test_dephased_control_erases_input(self):
@@ -170,7 +174,7 @@ class TestSwitchApply:
 class TestAnalyticForm:
     def test_q0_block_structure(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]))
-        js = switched_depolarizing_analytic(2, 0.0, PLUS, rho)
+        js = switched_depolarizing_analytic(terms(2, 0.0, PLUS), rho)
         m = js.matrix
         d = 2
         # control-diagonal blocks I/(2d), control-off-diagonal blocks rho/(2d^2)
@@ -183,7 +187,7 @@ class TestAnalyticForm:
 
     def test_q1_returns_input(self):
         rho = ginibre(3, 2)
-        js = switched_depolarizing_analytic(3, 1.0, PLUS, rho)
+        js = switched_depolarizing_analytic(terms(3, 1.0, PLUS), rho)
         np.testing.assert_allclose(
             js.matrix, tensor(rho.matrix, PLUS.density()), atol=1e-12
         )
@@ -191,7 +195,7 @@ class TestAnalyticForm:
     def test_p0_has_no_control_coherence(self):
         rho = ginibre(2, 8)
         ctrl = ControlState(0.0)
-        js = switched_depolarizing_analytic(2, 0.6, ctrl, rho)
+        js = switched_depolarizing_analytic(terms(2, 0.6, ctrl), rho)
         m = js.matrix.reshape(2, 2, 2, 2)
         np.testing.assert_allclose(m[:, 0, :, 1], 0.0, atol=1e-12)
         np.testing.assert_allclose(m[:, 1, :, 0], 0.0, atol=1e-12)
@@ -199,20 +203,20 @@ class TestAnalyticForm:
     def test_dephased_control_erases_input(self):
         # two completely depolarizing channels in a definite or a mixed order
         for p in (0.3, 0.5):
-            js = switched_depolarizing_analytic(3, 0.0, dephased(p), ginibre(3, 4))
+            js = switched_depolarizing_analytic(terms(3, 0.0, dephased(p)), ginibre(3, 4))
             expected = tensor(np.eye(3) / 3, np.diag([p, 1.0 - p]))
             np.testing.assert_allclose(js.matrix, expected, rtol=0, atol=1e-15)
 
     def test_marginals_at_q0(self):
         for seed in range(5):
             rho = ginibre(3, seed)
-            js = switched_depolarizing_analytic(3, 0.0, PLUS, rho)
+            js = switched_depolarizing_analytic(terms(3, 0.0, PLUS), rho)
             tmarg = partial_trace(js, 3, 2, "A")
             np.testing.assert_allclose(tmarg.matrix, np.eye(3) / 3, atol=1e-10)
             cmarg = partial_trace(js, 3, 2, "B")
             np.testing.assert_allclose(
                 cmarg.matrix,
-                reduced_control_state(3, 0.0, PLUS).matrix,
+                reduced_control_state(terms(3, 0.0, PLUS)).matrix,
                 atol=1e-10,
             )
 
@@ -231,10 +235,11 @@ class TestSwitchTerms:
         dep = depolarizing_channel(d, q)
         rho = ginibre(d, seed)
         kraus = switch_apply(dep, dep, rho, ctrl)
-        closed = switched_depolarizing_analytic(d, q, ctrl, rho)
+        t = terms(d, q, ctrl)
+        closed = switched_depolarizing_analytic(t, rho)
         np.testing.assert_allclose(closed.matrix, kraus.matrix, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            reduced_control_state(d, q, ctrl).matrix,
+            reduced_control_state(t).matrix,
             partial_trace(kraus, d, 2, "B").matrix,
             rtol=0,
             atol=1e-12,
@@ -242,11 +247,36 @@ class TestSwitchTerms:
 
     @pytest.mark.parametrize("d, q, p", [(2, 0.0, 0.5), (3, 0.4, 0.2), (5, 1.0, 0.7)])
     def test_real_symmetric_and_unit_trace(self, d, q, p):
-        a, b = depolarizing_switch_terms(d, q, ControlState(p))
+        dim, a, b = terms(d, q, ControlState(p))
+        assert dim == d
         for m in (a, b):
             assert m.dtype == np.float64 and m.shape == (2, 2)
             assert m[0, 1] == m[1, 0]
         assert np.trace(d * a + b) == pytest.approx(1.0, abs=1e-15)
+
+    def test_entries_equal_their_exact_values(self):
+        """Every entry of A and B within 4 ulps of its exact rational value.
+
+        The exact value is summed by Kraus class, with the coefficients q^2,
+        2q(1-q) and (1-q)^2 of the pairs (K0, K0), (K0, U) in either order and
+        (U, U'), J the all-ones matrix and * the entrywise product:
+          A = rho_c * (2q(1-q) J + (1-q)^2 I) / d
+          B = rho_c * (q^2 J + (1-q)^2 (J - I) / d^2)
+        Each p has a rational coherence sqrt(p (1-p)): 1/2, 2/5 and 12/25.
+        """
+        coherence = {Fraction(1, 2): Fraction(1, 2), Fraction(1, 5): Fraction(2, 5),
+                     Fraction(9, 25): Fraction(12, 25)}
+        quarters = [Fraction(k, 4) for k in range(5)]
+        for d, q, p, coherent in itertools.product(
+                range(2, 9), quarters, coherence, (True, False)):
+            c = coherence[p] if coherent else 0
+            rho_c = [[p, c], [c, 1 - p]]
+            _, a, b = terms(d, float(q), ControlState(float(p), coherent))
+            for i, j in itertools.product(range(2), repeat=2):
+                exact_a = rho_c[i][j] * (2 * q * (1 - q) + (1 - q) ** 2 * (i == j)) / d
+                exact_b = rho_c[i][j] * (q**2 + (1 - q) ** 2 * (i != j) / d**2)
+                for got, want in ((a[i, j], exact_a), (b[i, j], exact_b)):
+                    assert abs(Fraction(got) - want) <= 4 * Fraction(math.ulp(want)), (d, q, p)
 
     @pytest.mark.parametrize("q, ctrl", [
         (0.3, ControlState(0.5, coherent=False)),
@@ -255,27 +285,26 @@ class TestSwitchTerms:
         (float("nan"), PLUS),
     ])
     def test_every_closed_form_rejects_bad_input(self, q, ctrl):
-        rho = ginibre(2, 0)
-        calls = (
-            lambda: depolarizing_switch_terms(2, q, ctrl),
-            lambda: switched_depolarizing_analytic(2, q, ctrl, rho),
-            lambda: reduced_control_state(2, q, ctrl),
-            lambda: switched_spectrum(2, q, ctrl, rho.spectrum),
-        )
+        # the closed forms read d and q only from the terms, which refuse a
+        # dimension below 2 at any q, and a q outside [0, 1]
+        for d in (0, 1):
+            with pytest.raises(ValueError):
+                terms(d, q, ctrl)
         if ctrl.coherent:  # a bad q
-            for call in calls:
-                with pytest.raises(ValueError):
-                    call()
+            with pytest.raises(ValueError):
+                terms(2, q, ctrl)
             return
         # a dephased control is valid input: each form agrees with the Kraus route
+        rho = ginibre(2, 0)
         dep = depolarizing_channel(2, q)
         kraus = switch_apply(dep, dep, rho, ctrl)
-        a, b = calls[0]()
+        t = terms(2, q, ctrl)
+        _, a, b = t
         for got, want in (
             (tensor(np.eye(2), a) + tensor(rho.matrix, b), kraus.matrix),
-            (calls[1]().matrix, kraus.matrix),
-            (calls[2]().matrix, partial_trace(kraus, 2, 2, "B").matrix),
-            (calls[3](), kraus.spectrum),
+            (switched_depolarizing_analytic(t, rho).matrix, kraus.matrix),
+            (reduced_control_state(t).matrix, partial_trace(kraus, 2, 2, "B").matrix),
+            (switched_spectrum(t, rho.spectrum), kraus.spectrum),
         ):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
