@@ -101,11 +101,9 @@ def _chi_pure(transfer: np.ndarray, dim_out: int, probs, vecs) -> float:
     ensemble via the transfer matrix.
 
     ``vecs`` is an (m, d) array of unit vectors and ``probs`` an array of m
-    weights summing to 1; zero-weight vectors are dropped. The average output
-    joins the output stack for one ``eigvalsh`` and one entropy call.
+    weights summing to 1. The average output joins the output stack for one
+    ``eigvalsh`` and one entropy call.
     """
-    keep = probs != 0.0
-    probs, vecs = probs[keep], vecs[keep]
     projectors = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(len(vecs), -1)
     outputs = (projectors @ transfer.T).reshape(-1, dim_out, dim_out)
     avg = (probs[:, None, None] * outputs).sum(axis=0)

@@ -77,7 +77,7 @@ def switch_with_fixed_control(
 def depolarizing_switch_terms(
     d: int, q: float, ctrl: ControlState
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """The closed-form terms (d, A, B): the one place where d and q are checked.
+    """The closed-form terms (d, A, B): where the closed form checks d and q.
 
     Two noise-q depolarizers in a SWITCH send rho (x) rho_c to I (x) A + rho (x) B,
     with A and B real 2x2, for a coherent or a dephased control rho_c. Each

@@ -1,8 +1,10 @@
 import contextlib
+import importlib
 import inspect
 import itertools
 import json
 import math
+import pkgutil
 import textwrap
 from unittest import mock
 
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchcap import capacity, cli, switch
+import switchcap
+from switchcap import capacity, channels, switch
 from switchcap.capacity import reduced_control_state, switched_spectrum
 from switchcap.channels import depolarizing_channel
 from switchcap.oracle import (
@@ -58,68 +61,83 @@ LIBRARY_SUITES = {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-optimi
                   "chi-vs-reference", "chi-vs-brute", "marginals"}
 
 # Each fault replaces one piece of a library function's source, on every
-# module that binds the function; the suites named with it must fail, and no
-# other.
+# binding the package has; the suites named with it must fail, and no other.
 PLANTED_FAULTS = [
-    pytest.param((switch, cli), "depolarizing_switch_terms",
+    pytest.param(switch.depolarizing_switch_terms,
                  "(1.0 - q) ** 2 / d**2", "(1.0 - q) ** 2 / d",
                  LIBRARY_SUITES, id="twirl-over-d"),
-    pytest.param((switch, cli), "depolarizing_switch_terms",
+    pytest.param(switch.depolarizing_switch_terms,
                  "return d, rho_c_beta / d, b", "return d, rho_c_beta, b",
                  LIBRARY_SUITES, id="A-not-over-d"),
-    pytest.param((switch, cli), "depolarizing_switch_terms",
+    pytest.param(switch.depolarizing_switch_terms,
                  "2.0 * q * (1.0 - q)", "q * (1.0 - q)",
                  {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-brute"},
                  id="mix-halved"),
-    pytest.param((switch,), "switch_channel",
+    pytest.param(switch.switch_channel,
                  "np.matmul(k1[None], k2[:, None],", "np.matmul(k2[:, None], k1[None],",
                  {"chi-vs-optimizer", "chi-vs-brute"}, id="switch-one-order"),
-    pytest.param((capacity,), "switched_spectrum",
+    pytest.param(capacity.switched_spectrum,
                  "a + lam[..., None, None] * b", "lam[..., None, None] * a + b",
                  {"spectrum-vs-eigensolver", "chi-vs-optimizer", "chi-vs-reference",
                   "chi-vs-brute"}, id="spectrum-lam-times-A"),
-    pytest.param((capacity,), "switched_spectrum",
+    pytest.param(capacity.switched_spectrum,
                  "np.sort(blocks.reshape(lam.shape[:-1] + (2 * d,)), axis=-1)[..., ::-1]",
                  "blocks.reshape(lam.shape[:-1] + (2 * d,))",
                  {"spectrum-vs-eigensolver"}, id="spectrum-unsorted"),
-    pytest.param((capacity,), "reduced_control_state",
+    pytest.param(capacity.reduced_control_state,
                  "d * a + b", "a + b",
                  {"marginals", "chi-vs-optimizer", "chi-vs-reference", "chi-vs-brute"},
                  id="marginal-A-not-times-d"),
-    pytest.param((capacity,), "holevo_analytic",
+    pytest.param(capacity.holevo_analytic,
                  "np.eye(d)[0]", "np.full(d, 1.0 / d)",
                  {"chi-vs-optimizer", "chi-vs-reference", "chi-vs-brute"},
                  id="h-min-mixed-input"),
-    pytest.param((capacity,), "_transfer_matrix",
+    pytest.param(capacity._transfer_matrix,
                  "sub.T @ sub.conj()", "sub.T @ sub",
                  {"chi-vs-optimizer", "chi-vs-brute"}, id="transfer-no-conj"),
-    pytest.param((ControlState,), "density",
+    pytest.param(ControlState.density,
                  "rho[0, 1] = rho[1, 0] = c", "rho[0, 1] = rho[1, 0] = c / 2",
                  LIBRARY_SUITES, id="coherence-halved"),
     # the two branches for a dephased control
-    pytest.param((switch, capacity), "switch_with_fixed_control",
+    pytest.param(switch.switch_with_fixed_control,
                  "np.diag(amps)[amps > 0]", "amps[None]",
                  {"chi-vs-optimizer", "chi-vs-brute"}, id="dephased-kraus-as-coherent"),
-    pytest.param((ControlState,), "density",
+    pytest.param(ControlState.density,
                  "if self.coherent:", "if True:",
                  {"chi-vs-optimizer", "chi-vs-brute"}, id="dephased-density-as-coherent"),
-    pytest.param((capacity,), "optimize_ensemble",
+    pytest.param(capacity.optimize_ensemble,
                  "best_chi = max(best_chi, _chi_pure(transfer, ch.dim_out, w / w.sum(), v))",
                  "continue", set(), id="no-restarts"),
+    # the Kraus route's depolarizer and ensemble entropy; chi-vs-optimizer runs
+    # only at q = 0, where sqrt(q) = q
+    pytest.param(channels.depolarizing_channel,
+                 "np.sqrt(q) * np.eye(d, dtype=complex)", "q * np.eye(d, dtype=complex)",
+                 {"chi-vs-brute"}, id="depolarizer-q-not-sqrt"),
+    pytest.param(capacity._chi_pure,
+                 "vecs[:, None, :].conj()", "vecs[:, None, :]",
+                 {"chi-vs-optimizer", "chi-vs-brute"}, id="projector-no-conj"),
 ]
 
 
 @contextlib.contextmanager
-def _planted(owners, name, old, new):
-    """Patch ``name`` on every owner with its own source, ``old`` replaced by ``new``."""
-    original = getattr(owners[0], name)
-    source = textwrap.dedent(inspect.getsource(original))
-    assert source.count(old) == 1, f"{name} does not contain {old!r} once"
-    namespace = dict(original.__globals__)
-    exec(compile(source.replace(old, new), inspect.getsourcefile(original), "exec"), namespace)
+def _planted(fn, old, new):
+    """Patch every binding of ``fn`` with its own source, ``old`` replaced by
+    ``new``: each attribute of a ``switchcap`` module, or of a class that one
+    defines, that is ``fn``. A function that nothing binds is refused."""
+    modules = [importlib.import_module(f"switchcap.{info.name}")
+               for info in pkgutil.iter_modules(switchcap.__path__)]
+    classes = [obj for module in modules for obj in vars(module).values()
+               if inspect.isclass(obj) and obj.__module__ == module.__name__]
+    bindings = [(owner, name) for owner in modules + classes
+                for name, obj in vars(owner).items() if obj is fn]
+    assert bindings, f"no switchcap module binds {fn.__qualname__}"
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, f"{fn.__qualname__} does not contain {old!r} once"
+    namespace = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
     with contextlib.ExitStack() as patches:
-        for owner in owners:
-            patches.enter_context(mock.patch.object(owner, name, namespace[name]))
+        for owner, name in bindings:
+            patches.enter_context(mock.patch.object(owner, name, namespace[fn.__name__]))
         yield
 
 
@@ -325,7 +343,13 @@ class TestVerifyEquivalence:
     def test_suite_names_exported(self):
         assert "analytic-vs-brute" in SUITES
 
-    @pytest.mark.parametrize("owners, name, old, new, failing", PLANTED_FAULTS)
-    def test_planted_fault_fails_exactly_these_suites(self, owners, name, old, new, failing):
-        with _planted(owners, name, old, new):
+    def test_planted_fault_needs_a_binding(self):
+        # a function that no switchcap module binds cannot be planted
+        with pytest.raises(AssertionError, match="no switchcap module binds ginibre"):
+            with _planted(ginibre, "def ginibre", "def ginibre"):
+                pass
+
+    @pytest.mark.parametrize("fn, old, new, failing", PLANTED_FAULTS)
+    def test_planted_fault_fails_exactly_these_suites(self, fn, old, new, failing):
+        with _planted(fn, old, new):
             assert _failing_suites() == failing

@@ -94,6 +94,9 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             partial_trace(ginibre(4, 0), 3, 2, "A")
+        # the dimensions fit, but there is no subsystem "C" to keep
+        with pytest.raises(ValueError, match="keep must be"):
+            partial_trace(ginibre(4, 0), 2, 2, "C")
 
     @given(st.integers(0, 500))
     @settings(max_examples=30)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from switchcap.channels import KrausChannel, depolarizing_channel
-from switchcap.qmat import DensityMatrix, partial_trace, tensor
+from switchcap.qmat import DensityMatrix, DimensionMismatchError, partial_trace, tensor
 from switchcap.switch import (
     ControlState,
     depolarizing_switch_terms as terms,
@@ -67,6 +67,10 @@ class TestSwitchChannel:
         for d, q in ((2, 0.0), (3, 0.4)):
             dep = depolarizing_channel(d, q)
             assert cptp_deviation(switch_channel(dep, dep)) <= 1e-12
+
+    def test_rejects_unequal_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            switch_channel(depolarizing_channel(2, 0.3), depolarizing_channel(3, 0.3))
 
 
 def pairwise_switch(n1, n2, ctrl=None):
@@ -299,6 +303,9 @@ class TestSwitchTerms:
         dep = depolarizing_channel(2, q)
         kraus = switch_apply(dep, dep, rho, ctrl)
         t = terms(2, q, ctrl)
+        # the output form reads d from the terms too, and refuses a state of another d
+        with pytest.raises(DimensionMismatchError):
+            switched_depolarizing_analytic(t, ginibre(3, 0))
         _, a, b = t
         for got, want in (
             (tensor(np.eye(2), a) + tensor(rho.matrix, b), kraus.matrix),
