@@ -20,6 +20,8 @@ from .channels import KrausChannel, depolarizing_channel
 from .qmat import TOL, DensityMatrix, DimensionMismatchError, entropy_bits
 from .switch import ControlState, switch_with_fixed_control
 
+STACK_BYTES = 64 * 1024  # bytes of outputs per stack of equal-size restarts in optimize_ensemble
+
 
 class AnalyticCapacity(NamedTuple):
     chi: float
@@ -96,18 +98,19 @@ def _transfer_matrix(ch: KrausChannel) -> np.ndarray:
     return gram.reshape(r, c, r, c).transpose(0, 2, 1, 3).reshape(r * r, c * c)
 
 
-def _chi_pure(transfer: np.ndarray, dim_out: int, probs, vecs) -> float:
-    """Holevo quantity H(sum_x p_x out_x) - sum_x p_x H(out_x) of a pure-state
-    ensemble via the transfer matrix.
+def _output_entropies(transfer: np.ndarray, dim_out: int, probs, vecs) -> np.ndarray:
+    """Output entropies of g pure-state ensembles: (g, m, d) unit vectors ``vecs``
+    with (g, m) weights ``probs``, each row summing to 1. Each average output follows
+    its m outputs, for one ``eigvalsh`` and one entropy call over (g, m + 1)."""
+    g, m, d = vecs.shape
+    projectors = (vecs[..., :, None] * vecs[..., None, :].conj()).reshape(g * m, d * d)
+    outputs = (projectors @ transfer.T).reshape(g, m, dim_out, dim_out)
+    avg = (probs[..., None, None] * outputs).sum(axis=1)
+    return entropy_bits(np.linalg.eigvalsh(np.concatenate((outputs, avg[:, None]), axis=1)))
 
-    ``vecs`` is an (m, d) array of unit vectors and ``probs`` an array of m
-    weights summing to 1. The average output joins the output stack for one
-    ``eigvalsh`` and one entropy call.
-    """
-    projectors = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(len(vecs), -1)
-    outputs = (projectors @ transfer.T).reshape(-1, dim_out, dim_out)
-    avg = (probs[:, None, None] * outputs).sum(axis=0)
-    h = entropy_bits(np.linalg.eigvalsh(np.concatenate((outputs, avg[None]))))
+
+def _chi_pure(probs, h) -> float:
+    """Holevo quantity of one ensemble from its m + 1 output entropies, average last."""
     return float(h[-1] - probs @ h[:-1])
 
 
@@ -118,17 +121,18 @@ def optimize_ensemble(ch: KrausChannel, trials: int, seed: int) -> OptimizerResu
     weights. One ``default_rng(seed)`` draws them all up front, so the result
     is deterministic in ``seed``: first every ensemble's size, then d real
     and d imaginary normal parts per vector, in restart order, then one
-    Exp(1) variate per vector, each restart's normalised over its sum. Each
-    ensemble is evaluated as one stack. For a covariant channel the
-    orthonormal ensemble already attains chi; the random restarts are a
-    check that nothing beats it.
+    Exp(1) variate per vector, each restart's normalised over its sum. The
+    restarts of one size go in stacks of at most ``STACK_BYTES`` of outputs, or
+    of one restart if larger, with one ``_chi_pure`` call per ensemble. For a
+    covariant channel the orthonormal ensemble already attains chi; the random
+    restarts are a check that nothing beats it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    d = ch.dim_in
+    d, n = ch.dim_in, ch.dim_out
     transfer = _transfer_matrix(ch)
-    uniform = np.full(d, 1.0 / d)
-    best_chi = _chi_pure(transfer, ch.dim_out, uniform, np.eye(d, dtype=complex))
+    u = np.full((1, d), 1.0 / d)  # the orthonormal start
+    best_chi = _chi_pure(u[0], _output_entropies(transfer, n, u, np.eye(d)[None] + 0j)[0])
 
     rng = np.random.default_rng(seed)
     sizes = rng.integers(2, d * d + 1, size=trials)
@@ -136,9 +140,14 @@ def optimize_ensemble(ch: KrausChannel, trials: int, seed: int) -> OptimizerResu
     vecs = re_im[:, 0] + 1j * re_im[:, 1]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     weights = rng.standard_exponential(sizes.sum())
-    starts = np.cumsum(sizes)[:-1]
-    for v, w in zip(np.split(vecs, starts), np.split(weights, starts)):
-        best_chi = max(best_chi, _chi_pure(transfer, ch.dim_out, w / w.sum(), v))
+    starts = np.cumsum(sizes) - sizes
+    for m in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
+        rows = starts[sizes == m, None] + np.arange(m)
+        per = max(1, STACK_BYTES // ((m + 1) * n * n * 16))
+        for r in np.split(rows, range(per, len(rows), per)):
+            w = weights[r] / weights[r].sum(axis=1, keepdims=True)
+            for p, hx in zip(w, _output_entropies(transfer, n, w, vecs[r])):
+                best_chi = max(best_chi, _chi_pure(p, hx))
 
     return OptimizerResult(best_chi, trials, 0)
 
@@ -153,9 +162,10 @@ def holevo_numeric(d: int, q: float, ctrl: ControlState,
 
 def holevo_numeric_bytes(d: int, trials: int) -> tuple[int, int]:
     """Estimated peak bytes of one ``holevo_numeric`` call: Kraus stacks, draws.
-    The (d^2+1)^2 SWITCH Kraus operators are held twice, as a stack of 2d x 2d
-    and one of 2d x d complex matrices: 290.7 MB at d = 12, where tracemalloc
-    measured 291.3 MB. The optimizer draws up to d^2 vectors per restart up front,
-    at a peak of 48 d + 16 bytes a vector by tracemalloc."""
+    The (d^2+1)^2 SWITCH Kraus operators are held twice, as a stack of 2d x 2d and one of 2d x d
+    complex matrices: 290.7 MB at d = 12, where tracemalloc measured 291.3 MB. The optimizer
+    draws up to d^2 vectors per restart up front, at a peak of 48 d + 16 bytes a vector by
+    tracemalloc. Its stacks of max(``STACK_BYTES``, one restart) of outputs are left out:
+    0.19 MB at d <= 4, 2.8% of the Kraus term at d = 8 and 0.6% at d = 16, by tracemalloc."""
     kraus = (d * d + 1) ** 2 * ((2 * d) ** 2 + 2 * d * d) * 16
     return kraus, trials * d * d * (48 * d + 16)

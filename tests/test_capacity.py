@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from switchcap import capacity
 from switchcap.capacity import (
     _chi_pure,
+    _output_entropies,
     _transfer_matrix,
     holevo_analytic,
     holevo_numeric,
@@ -301,7 +303,8 @@ class TestStackedHolevo:
             dep = depolarizing_channel(d, float(rng.uniform()))
             ch = switch_with_fixed_control(dep, dep, ControlState(p))
         vecs, probs = random_pure_ensemble(rng, d, m)
-        chi = _chi_pure(_transfer_matrix(ch), ch.dim_out, probs, vecs)
+        h = _output_entropies(_transfer_matrix(ch), ch.dim_out, probs[None], vecs[None])
+        chi = _chi_pure(probs, h[0])
         kraus = holevo_of_ensemble(ch, probs, pure_states(vecs))
         assert chi == pytest.approx(kraus, abs=1e-12)
 
@@ -316,6 +319,18 @@ class TestStackedHolevo:
         assert optimize_ensemble(ch, trials=10, seed=seed).chi == pytest.approx(
             expected, abs=1e-13
         )
+
+    def test_stack_split_changes_no_bit(self, monkeypatch):
+        # a 2 x 2 output is 64 bytes and a d = 2 restart has 3 to 5 outputs with
+        # its average: 640 bytes holds 2 or 3 restarts, 2**30 all of one size
+        for seed in range(5):
+            ch = fourier_dephased(random_channel(seed, 3, 2))
+            default = optimize_ensemble(ch, trials=60, seed=seed).chi
+            assert default == pytest.approx(reference_optimize(ch, 60, seed), abs=1e-13)
+            for stack_bytes in (1, 640, 2**30):
+                monkeypatch.setattr(capacity, "STACK_BYTES", stack_bytes)
+                assert optimize_ensemble(ch, trials=60, seed=seed).chi == default
+            monkeypatch.undo()
 
     def test_seed_selects_the_restarts(self):
         ch = fourier_dephased(random_channel(0, 3, 2))
@@ -385,6 +400,17 @@ class TestOptimizer:
         a = holevo_numeric(2, 0.0, PLUS, trials=25, seed=3)
         b = holevo_numeric(2, 0.0, PLUS, trials=25, seed=3)
         assert a.chi == b.chi
+
+    def test_one_chi_evaluation_per_ensemble(self, monkeypatch):
+        # the benchmark counts the ensembles evaluated as capacity._chi_pure calls
+        calls = []
+        chi_pure = capacity._chi_pure
+        monkeypatch.setattr(capacity, "_chi_pure", lambda *a: calls.append(a) or chi_pure(*a))
+        for d in (2, 3):
+            for trials in (1, 37):
+                calls.clear()
+                optimize_ensemble(random_channel(d, 3, d), trials=trials, seed=d)
+                assert len(calls) == trials + 1
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

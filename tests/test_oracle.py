@@ -106,15 +106,15 @@ PLANTED_FAULTS = [
                  "if self.coherent:", "if True:",
                  {"chi-vs-optimizer", "chi-vs-brute"}, id="dephased-density-as-coherent"),
     pytest.param(capacity.optimize_ensemble,
-                 "best_chi = max(best_chi, _chi_pure(transfer, ch.dim_out, w / w.sum(), v))",
+                 "best_chi = max(best_chi, _chi_pure(p, hx))",
                  "continue", set(), id="no-restarts"),
     # the Kraus route's depolarizer and ensemble entropy; chi-vs-optimizer runs
     # only at q = 0, where sqrt(q) = q
     pytest.param(channels.depolarizing_channel,
                  "np.sqrt(q) * np.eye(d, dtype=complex)", "q * np.eye(d, dtype=complex)",
                  {"chi-vs-brute"}, id="depolarizer-q-not-sqrt"),
-    pytest.param(capacity._chi_pure,
-                 "vecs[:, None, :].conj()", "vecs[:, None, :]",
+    pytest.param(capacity._output_entropies,
+                 "vecs[..., None, :].conj()", "vecs[..., None, :]",
                  {"chi-vs-optimizer", "chi-vs-brute"}, id="projector-no-conj"),
 ]
 
