@@ -5,9 +5,9 @@ own Weyl unitaries, its own Kraus list, and one stacked array of all
 (d^2 + 1)^2 switched operators W. The sum of W (x) conj(W) over every
 pair is one cached superoperator, so the output, the sum of W sigma W'
 over every pair, is one matrix-vector product with vec(sigma).
-From the library it takes only the qmat primitives and the fields of a
-``switch.ControlState``, so agreement between the two paths is meaningful.
-The suites call the library functions they certify.
+From the library it takes only qmat's ``DensityMatrix``, ``entropy_bits`` and
+``tensor`` and the fields of a ``switch.ControlState``, so agreement between
+the two paths is meaningful. The suites call the library functions they certify.
 
 Only ``reference_constants`` imports mpmath, on its first call: it evaluates
 the capacity constants of ``chi-vs-reference`` and the tests to 50 digits.
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import capacity, switch
-from .qmat import DensityMatrix, entropy_bits, partial_trace, tensor
+from .qmat import DensityMatrix, entropy_bits, tensor
 from .switch import ControlState
 
 
@@ -70,17 +70,13 @@ def _weyl_ops(d: int) -> list[np.ndarray]:
 
 
 # The suites call the oracle many times in a row at one (d, q), so the last
-# stack and superoperator are kept; they are read-only because every caller
-# shares them.
+# superoperator is kept; it is read-only because every caller shares it.
 @functools.lru_cache(maxsize=1)
-def _switch_kraus(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (d^2+1)^2 switched Kraus operators of two noise-q depolarizers.
-
-    Operator (i, j) is K_i K_j (x) |0><0| + K_j K_i (x) |1><1|. Returns the
-    read-only (n^2, 2d, 2d) stack W and the read-only (4d^2, 4d^2)
-    superoperator sum_k W_k (x) conj(W_k), whose entry ((a, b), (i, j)) is
-    sum_k W_k[a, i] conj(W_k[b, j]), built as one GEMM over the stack.
-    """
+def _superoperator(d: int, q: float) -> np.ndarray:
+    """The read-only (4d^2, 4d^2) superoperator sum_W W (x) conj(W) of the SWITCH of
+    two noise-q depolarizers, over its (d^2+1)^2 Kraus operators W = K_i K_j (x)
+    |0><0| + K_j K_i (x) |1><1|. Entry ((a, b), (i, j)) is sum_W W[a, i]
+    conj(W[b, j]), built as one GEMM over the stack of W."""
     kraus = np.array(
         [np.sqrt(q) * np.eye(d, dtype=complex)]
         + [np.sqrt(1.0 - q) / d * u for u in _weyl_ops(d)]
@@ -89,14 +85,12 @@ def _switch_kraus(d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     w = np.zeros((n, n, d, 2, d, 2), dtype=complex)
     w[:, :, :, 0, :, 0] = kraus[:, None] @ kraus[None, :]
     w[:, :, :, 1, :, 1] = kraus[None, :] @ kraus[:, None]
-    w.flags.writeable = False
-    w = w.reshape(n * n, 2 * d, 2 * d)
     flat = w.reshape(n * n, -1)
     # rows (a, i) and columns (b, j), regrouped as rows (a, b) and columns (i, j)
-    pairs = (flat.T @ flat.conj()).reshape((2 * d,) * 4).transpose(0, 2, 1, 3)
-    pairs = pairs.reshape(4 * d * d, 4 * d * d)
-    pairs.flags.writeable = False
-    return w, pairs
+    superop = (flat.T @ flat.conj()).reshape((2 * d,) * 4).transpose(0, 2, 1, 3)
+    superop = superop.reshape(4 * d * d, 4 * d * d)
+    superop.flags.writeable = False
+    return superop
 
 
 def brute_force_switch_output(
@@ -107,19 +101,18 @@ def brute_force_switch_output(
     c = np.sqrt(ctrl.p * (1.0 - ctrl.p)) if ctrl.coherent else 0.0
     rho_c = np.array([[ctrl.p, c], [c, 1.0 - ctrl.p]], dtype=complex)
     sigma = tensor(rho.matrix, rho_c)
-    _, pairs = _switch_kraus(d, q)
     flat = sigma.reshape(sigma.shape[:-2] + (-1,))
-    return DensityMatrix((flat @ pairs.T).reshape(sigma.shape))
+    return DensityMatrix((flat @ _superoperator(d, q).T).reshape(sigma.shape))
 
 
 def reference_constants() -> dict[str, float]:
-    """Capacity reference values at q=0, evaluated to 50 significant digits."""
+    """Capacity reference values at q=0, from 50 significant digits, each rounded once."""
     import mpmath as mp  # here, so that no sweep or other verify run loads it
     with mp.workdps(50):
         lg2 = mp.log(2)
 
         def h(vals):
-            return float(-sum(v * mp.log(v) / lg2 for v in vals if v != 0))
+            return -sum(v * mp.log(v) / lg2 for v in vals if v != 0)
 
         out = {}
         for d in (2, 3, 4, 5, 6):
@@ -128,9 +121,9 @@ def reference_constants() -> dict[str, float]:
             plus = [1 / (2 * dm) + 1 / (2 * dm**2)] + [1 / (2 * dm)] * (d - 1)
             minus = [(dm - 1) / (2 * dm**2)] + [1 / (2 * dm)] * (d - 1)
             hm = h(plus + minus)
-            out[f"entropy_control_d{d}"] = hc
-            out[f"h_min_d{d}"] = hm
-            out[f"chi_d{d}"] = float(mp.log(dm) / lg2) + hc - hm
+            out[f"entropy_control_d{d}"] = float(hc)
+            out[f"h_min_d{d}"] = float(hm)
+            out[f"chi_d{d}"] = float(mp.log(dm) / lg2 + hc - hm)
         return out
 
 
@@ -165,9 +158,9 @@ def _marginals(d, q, ctrl, terms, states):
     control_ref = capacity.reduced_control_state(terms).matrix
     # one oracle call per state, as perfbench's trace counts them
     for rho in states.matrix:
-        out = brute_force_switch_output(d, q, ctrl, DensityMatrix(rho))
-        tmarg = partial_trace(out, d, 2, "A").matrix - target_ref
-        cmarg = partial_trace(out, d, 2, "B").matrix - control_ref
+        out = brute_force_switch_output(d, q, ctrl, DensityMatrix(rho)).matrix.reshape(d, 2, d, 2)
+        tmarg = np.einsum("ikjk->ij", out) - target_ref
+        cmarg = np.einsum("kikj->ij", out) - control_ref
         yield max(np.abs(tmarg).max(), np.abs(cmarg).max())
 
 
@@ -188,27 +181,39 @@ def _chi_vs_reference():
 
 
 def _chi_vs_brute():
-    # by covariance under U (x) I, the basis |i><i| attains chi for either control
+    # by covariance under U (x) I, the basis |i><i| attains chi for either control,
+    # and each of its outputs has entropy H_min and the same control marginal
     for d, q, p, coherent in itertools.product((2, 3), (0.0, 0.5), (0.2, 0.5), (True, False)):
         ctrl = ControlState(p, coherent)
         outs = brute_force_switch_output(d, q, ctrl, DensityMatrix(np.eye(d) * np.eye(d)[:, None]))
-        mean = DensityMatrix(outs.matrix.mean(axis=0))
-        chi = entropy_bits(mean.spectrum) - entropy_bits(outs.spectrum).mean()
-        terms = switch.depolarizing_switch_terms(d, q, ctrl)
-        for route, result in (("analytic", capacity.holevo_analytic(terms)),
-                              ("numeric", capacity.holevo_numeric(d, q, ctrl, trials=1, seed=0))):
-            yield abs(result.chi - chi), dict(d=d, q=q, p=p, coherent=coherent, route=route)
+        h_out = entropy_bits(outs.spectrum)
+        chi = entropy_bits(DensityMatrix(outs.matrix.mean(axis=0)).spectrum) - h_out.mean()
+        control = np.einsum("kikj->ij", outs.matrix[0].reshape(d, 2, d, 2))
+        h_control = entropy_bits(DensityMatrix(control).spectrum)
+        analytic = capacity.holevo_analytic(switch.depolarizing_switch_terms(d, q, ctrl))
+        numeric = capacity.holevo_numeric(d, q, ctrl, trials=1, seed=0)
+        grid = dict(d=d, q=q, p=p, coherent=coherent)
+        yield abs(analytic.chi - chi), dict(grid, route="analytic")
+        yield abs(numeric.chi - chi), dict(grid, route="numeric")
+        yield abs(analytic.h_min - h_out[0]), dict(grid, quantity="h_min")
+        yield abs(analytic.entropy_control - h_control), dict(grid, quantity="entropy_control")
+
+
+def _cptp_deviation(superop: np.ndarray) -> float:
+    """max(|Tr_out J - I|, -lambda_min(J)) for the Choi matrix J[(i, a), (j, b)] =
+    S[(a, b), (i, j)] of a superoperator S on n x n matrices: 0 when S preserves
+    the trace and is completely positive, J >= 0 (Choi, Linear Algebra Appl. 10,
+    285 (1975))."""
+    n = math.isqrt(len(superop))
+    choi = superop.reshape(n, n, n, n).transpose(2, 0, 3, 1)
+    traced = np.einsum("iaja->ij", choi)
+    lam_min = np.linalg.eigvalsh(choi.reshape(n * n, n * n)).min()
+    return max(float(np.abs(traced - np.eye(n)).max()), -float(lam_min))
 
 
 def _cptp():
-    for d in (2, 3, 4):
-        for q in (0.0, 0.4, 1.0):
-            w, pairs = _switch_kraus(d, q)
-            total = (w.conj().transpose(0, 2, 1) @ w).sum(0)
-            # the superoperator the oracle applies, traced over its output (a, a)
-            traced = pairs.reshape(2 * d, 2 * d, -1).trace().reshape(2 * d, 2 * d)
-            dev = float(np.abs(np.stack([total, traced]) - np.eye(2 * d)).max())
-            yield dev, dict(d=d, q=q)
+    for d, q in itertools.product((2, 3, 4), (0.0, 0.4, 1.0)):
+        yield _cptp_deviation(_superoperator(d, q)), dict(d=d, q=q)
 
 
 def _covariance_deviations(superop: np.ndarray, d: int) -> np.ndarray:
@@ -230,11 +235,9 @@ def _covariance_deviations(superop: np.ndarray, d: int) -> np.ndarray:
 
 
 def _covariance():
-    for d in (2, 3, 4):
-        for q in (0.0, 0.4, 1.0):
-            devs = _covariance_deviations(_switch_kraus(d, q)[1], d)
-            for k, dev in enumerate(devs):
-                yield float(dev), dict(d=d, q=q, unitary=k)
+    for d, q in itertools.product((2, 3, 4), (0.0, 0.4, 1.0)):
+        for k, dev in enumerate(_covariance_deviations(_superoperator(d, q), d)):
+            yield float(dev), dict(d=d, q=q, unitary=k)
 
 
 # Each suite yields (deviation, parameters) over its fixed grid.

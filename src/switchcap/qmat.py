@@ -72,26 +72,6 @@ def tensor(a, b) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (ra * rb, ca * cb))
 
 
-def partial_trace(m: DensityMatrix, dim_a: int, dim_b: int, keep: str) -> DensityMatrix:
-    """Reduced state of subsystem ``keep`` ("A" or "B") of a bipartite state.
-
-    ``m`` lives on A (slow index, dimension ``dim_a``) tensor B (fast index,
-    dimension ``dim_b``).
-    """
-    if m.dim != dim_a * dim_b:
-        raise DimensionMismatchError(
-            f"state dimension {m.dim} != {dim_a} * {dim_b}"
-        )
-    t = m.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        reduced = np.einsum("ikjk->ij", t)
-    elif keep == "B":
-        reduced = np.einsum("kikj->ij", t)
-    else:
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return DensityMatrix(reduced)
-
-
 def entropy_bits(eigenvalues) -> float | np.ndarray:
     """Shannon entropy (bits) of a spectrum, with 0 log 0 := 0.
 

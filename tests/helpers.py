@@ -1,5 +1,5 @@
-"""Shared random instances, channel fixtures, the Kraus-sum reference route
-and suite runs for the test suite."""
+"""Shared random instances, channel fixtures, the Kraus-sum reference route,
+a partial trace and suite runs for the test suite."""
 
 import functools
 
@@ -58,6 +58,13 @@ def cptp_deviation(ch):
     k = ch.ops
     total = np.einsum("nji,njk->ik", k.conj(), k)
     return float(np.abs(total - np.eye(ch.dim_in)).max())
+
+
+def partial_trace(m, dim_a, dim_b, keep):
+    """The reduced state of subsystem ``keep`` ("A" or "B") of a DensityMatrix on
+    A (x) B, with A the slow index of dimension ``dim_a``: a plain einsum."""
+    t = m.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
+    return DensityMatrix(np.einsum({"A": "ikjk->ij", "B": "kikj->ij"}[keep], t))
 
 
 # The Kraus route: each output is the plain sum over a channel's Kraus list,

@@ -25,9 +25,15 @@ from switchcap.switch import (
     switch_with_fixed_control,
     switched_depolarizing_analytic,
 )
-from switchcap.qmat import partial_trace
 
-from helpers import ginibre, holevo_of_ensemble, identity_channel, random_kraus, switch_apply
+from helpers import (
+    ginibre,
+    holevo_of_ensemble,
+    identity_channel,
+    partial_trace,
+    random_kraus,
+    switch_apply,
+)
 
 PLUS = ControlState(0.5)
 P_GRID = (0.0, 0.2, 0.5, 0.7, 1.0)

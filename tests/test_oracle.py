@@ -13,26 +13,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import switchcap
-from switchcap import capacity, channels, switch
+from switchcap import capacity, channels, qmat, switch
 from switchcap.capacity import reduced_control_state, switched_spectrum
 from switchcap.channels import depolarizing_channel
 from switchcap.oracle import (
     ComparisonReport,
     SUITES,
     _covariance_deviations,
-    _switch_kraus,
+    _cptp_deviation,
+    _superoperator,
     brute_force_switch_output,
     reference_constants,
     verify_equivalence,
 )
-from switchcap.qmat import DensityMatrix, partial_trace, tensor
+from switchcap.qmat import DensityMatrix, tensor
 from switchcap.switch import (
     ControlState,
     depolarizing_switch_terms as terms,
+    switch_channel,
     switched_depolarizing_analytic,
 )
 
-from helpers import ginibre, suite_report, switch_apply
+from helpers import ginibre, partial_trace, suite_report, switch_apply
 
 PLUS = ControlState(0.5)
 
@@ -116,6 +118,18 @@ PLANTED_FAULTS = [
     pytest.param(capacity._output_entropies,
                  "vecs[..., None, :].conj()", "vecs[..., None, :]",
                  {"chi-vs-optimizer", "chi-vs-brute"}, id="projector-no-conj"),
+    # the two qmat primitives that the oracle shares with the library; covariance
+    # builds its unitaries with tensor
+    pytest.param(qmat.tensor,
+                 "a[..., :, None, :, None] * b[..., None, :, None, :]",
+                 "b[..., :, None, :, None] * a[..., None, :, None, :]",
+                 {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-brute", "marginals",
+                  "covariance"}, id="tensor-factors-swapped"),
+    # an open hole: both sides drop the same eigenvalues, and no suite sees an
+    # output eigenvalue in (0, 1e-2)
+    pytest.param(qmat.entropy_bits,
+                 "np.where(lam > 0, lam, 1.0)", "np.where(lam > 1e-2, lam, 1.0)",
+                 set(), id="entropy-drops-below-1e-2"),
 ]
 
 
@@ -213,21 +227,20 @@ class TestBruteForce:
         assert np.abs(brute - closed).max() <= 1e-12
 
     def test_cached_stacks_are_read_only_and_shared(self):
-        w, pairs = _switch_kraus(3, 0.4)
-        assert w.shape == (100, 6, 6) and pairs.shape == (36, 36)
-        for array in (w, pairs):
-            with pytest.raises(ValueError):
-                array[0, 0] = 1.0
-        again = _switch_kraus(3, 0.4)
-        assert again[0] is w and again[1] is pairs
+        superop = _superoperator(3, 0.4)
+        assert superop.shape == (36, 36)
+        with pytest.raises(ValueError):
+            superop[0, 0] = 1.0
+        assert _superoperator(3, 0.4) is superop
 
     @pytest.mark.parametrize("d, q", itertools.product((2, 3, 4), (0.0, 0.4, 1.0)))
     def test_superoperator_applies_the_pairwise_sum(self, d, q):
-        # a non-product sigma, so that a swap of (a, b, i, j) axes cannot cancel out
+        # a non-product sigma, so that a swap of (a, b, i, j) axes cannot cancel out;
+        # the sum runs over the library's switched Kraus operators
         sigma = ginibre(2 * d, d).matrix
-        w, pairs = _switch_kraus(d, q)
-        expected = sum(wk @ sigma @ wk.conj().T for wk in w)
-        applied = (pairs @ sigma.reshape(-1)).reshape(2 * d, 2 * d)
+        dep = depolarizing_channel(d, q)
+        expected = sum(w @ sigma @ w.conj().T for w in switch_channel(dep, dep).ops)
+        applied = (_superoperator(d, q) @ sigma.reshape(-1)).reshape(2 * d, 2 * d)
         assert np.abs(applied - expected).max() <= 1e-13
 
 
@@ -283,6 +296,22 @@ class TestCovariance:
         assert devs[4:].min() > 0.1
 
 
+class TestCptp:
+    """``_cptp_deviation``'s two negative controls, on C^{2d}."""
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_transpose_is_not_completely_positive(self, d):
+        # X -> X^T keeps the trace, but its Choi matrix is the SWAP, with eigenvalue -1
+        n = 2 * d
+        transpose = np.eye(n * n).reshape(n, n, n, n).transpose(1, 0, 2, 3)
+        assert _cptp_deviation(transpose.reshape(n * n, n * n)) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_doubled_identity_is_not_trace_preserving(self, d):
+        # X -> 2X is completely positive, and its Choi matrix traces to 2I
+        assert _cptp_deviation(2 * np.eye(4 * d * d)) == pytest.approx(1.0, abs=1e-14)
+
+
 class TestReferenceConstants:
     def test_frozen_values(self):
         ref = reference_constants()
@@ -304,7 +333,7 @@ class TestVerifyEquivalence:
         # each suite tests its whole grid, once: one that drops or repeats an
         # instance fails here, and so does a suite missing from the table
         instances = {"analytic-vs-brute": 1200, "spectrum-vs-eigensolver": 480,
-                     "chi-vs-optimizer": 12, "chi-vs-reference": 15, "chi-vs-brute": 32,
+                     "chi-vs-optimizer": 12, "chi-vs-reference": 15, "chi-vs-brute": 64,
                      "marginals": 30, "cptp": 9, "covariance": 132}
         assert instances.keys() == SUITES.keys()
         report = suite_report(suite)

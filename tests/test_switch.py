@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from switchcap.channels import KrausChannel, depolarizing_channel
-from switchcap.qmat import DensityMatrix, DimensionMismatchError, partial_trace, tensor
+from switchcap.qmat import DensityMatrix, DimensionMismatchError, tensor
 from switchcap.switch import (
     ControlState,
     depolarizing_switch_terms as terms,
@@ -24,6 +24,7 @@ from helpers import (
     dephasing_channel,
     ginibre,
     identity_channel,
+    partial_trace,
     random_kraus,
     switch_apply,
 )
