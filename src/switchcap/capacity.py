@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KrausChannel, depolarizing_channel
-from .qmat import TOL, DensityMatrix, DimensionMismatchError, entropy_bits
+from .qmat import TOL, DensityMatrix, entropy_bits
 from .switch import ControlState, switch_with_fixed_control
 
 STACK_BYTES = 64 * 1024  # bytes of outputs per stack of equal-size restarts in optimize_ensemble
@@ -51,7 +51,7 @@ def switched_spectrum(terms, rho_spectrum) -> np.ndarray:
     d, a, b = terms
     lam = np.asarray(rho_spectrum, dtype=float)
     if lam.shape[-1:] != (d,):
-        raise DimensionMismatchError(f"expected {d} eigenvalues, got {lam.shape}")
+        raise ValueError(f"expected {d} eigenvalues, got {lam.shape}")
     blocks = np.linalg.eigvalsh(a + lam[..., None, None] * b)
     return np.sort(blocks.reshape(lam.shape[:-1] + (2 * d,)), axis=-1)[..., ::-1]
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DimensionMismatchError
-
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
@@ -34,13 +32,11 @@ class KrausChannel:
     def __post_init__(self):
         if len(self.ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        try:
-            # a view, so that an array passed in stays writeable for its owner
-            stack = np.asarray(self.ops, dtype=complex).view()
-        except ValueError:  # operators of unequal shapes
-            stack = None
-        if stack is None or stack.ndim != 3:
-            raise DimensionMismatchError("Kraus operators must be matrices of one shape")
+        # a view, so that an array passed in stays writeable for its owner; operators
+        # of unequal shapes make numpy raise its own ValueError
+        stack = np.asarray(self.ops, dtype=complex).view()
+        if stack.ndim != 3:
+            raise ValueError("Kraus operators must be matrices of one shape")
         stack.flags.writeable = False
         object.__setattr__(self, "ops", stack)
 

@@ -5,9 +5,9 @@ own Weyl unitaries, its own Kraus list, and one stacked array of all
 (d^2 + 1)^2 switched operators W. The sum of W (x) conj(W) over every
 pair is one cached superoperator, so the output, the sum of W sigma W'
 over every pair, is one matrix-vector product with vec(sigma).
-From the library it takes only qmat's ``DensityMatrix``, ``entropy_bits`` and
-``tensor`` and the fields of a ``switch.ControlState``, so agreement between
-the two paths is meaningful. The suites call the library functions they certify.
+From the library it takes only qmat's ``DensityMatrix`` and ``tensor`` and the
+fields of a ``switch.ControlState``, and it has its own entropy, so agreement
+between the two paths is meaningful. The suites call the library functions they certify.
 
 Only ``reference_constants`` imports mpmath, on its first call: it evaluates
 the capacity constants of ``chi-vs-reference`` and the tests to 50 digits.
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import capacity, switch
-from .qmat import DensityMatrix, entropy_bits, tensor
+from .qmat import DensityMatrix, tensor
 from .switch import ControlState
 
 
@@ -165,11 +165,12 @@ def _marginals(d, q, ctrl, terms, states):
 
 
 def _chi_vs_optimizer():
-    for d, p, coherent in itertools.product((2, 3), (0.2, 0.5, 0.7), (True, False)):
+    for d, q, p, coherent in itertools.product(
+            (2, 3), (0.0, 0.5), (0.2, 0.5, 0.7), (True, False)):
         ctrl = ControlState(p, coherent)
-        result = capacity.holevo_numeric(d, 0.0, ctrl, trials=200, seed=0)
-        chi = capacity.holevo_analytic(switch.depolarizing_switch_terms(d, 0.0, ctrl)).chi
-        yield abs(result.chi - chi), dict(d=d, q=0.0, p=p, coherent=coherent, seed=0)
+        result = capacity.holevo_numeric(d, q, ctrl, trials=200, seed=0)
+        chi = capacity.holevo_analytic(switch.depolarizing_switch_terms(d, q, ctrl)).chi
+        yield abs(result.chi - chi), dict(d=d, q=q, p=p, coherent=coherent, seed=0)
 
 
 def _chi_vs_reference():
@@ -180,16 +181,24 @@ def _chi_vs_reference():
             yield abs(value - ref[f"{name}_d{d}"]), dict(d=d, quantity=name)
 
 
+def _entropy(spectra: np.ndarray) -> np.ndarray:
+    """-sum lam log2(lam) over the positive eigenvalues of each spectrum (last axis)."""
+    logs = np.log2(spectra, out=np.zeros_like(spectra), where=spectra > 0)
+    return -(spectra * logs).sum(axis=-1)
+
+
 def _chi_vs_brute():
     # by covariance under U (x) I, the basis |i><i| attains chi for either control,
-    # and each of its outputs has entropy H_min and the same control marginal
-    for d, q, p, coherent in itertools.product((2, 3), (0.0, 0.5), (0.2, 0.5), (True, False)):
+    # and each of its outputs has entropy H_min and the same control marginal;
+    # q = 0.9 gives nearly pure outputs, whose small eigenvalues the entropy must keep
+    for d, q, p, coherent in itertools.product(
+            (2, 3), (0.0, 0.5, 0.9), (0.2, 0.5), (True, False)):
         ctrl = ControlState(p, coherent)
         outs = brute_force_switch_output(d, q, ctrl, DensityMatrix(np.eye(d) * np.eye(d)[:, None]))
-        h_out = entropy_bits(outs.spectrum)
-        chi = entropy_bits(DensityMatrix(outs.matrix.mean(axis=0)).spectrum) - h_out.mean()
+        h_out = _entropy(outs.spectrum)
+        chi = _entropy(DensityMatrix(outs.matrix.mean(axis=0)).spectrum) - h_out.mean()
         control = np.einsum("kikj->ij", outs.matrix[0].reshape(d, 2, d, 2))
-        h_control = entropy_bits(DensityMatrix(control).spectrum)
+        h_control = _entropy(DensityMatrix(control).spectrum)
         analytic = capacity.holevo_analytic(switch.depolarizing_switch_terms(d, q, ctrl))
         numeric = capacity.holevo_numeric(d, q, ctrl, trials=1, seed=0)
         grid = dict(d=d, q=q, p=p, coherent=coherent)

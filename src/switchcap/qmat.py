@@ -15,14 +15,6 @@ import numpy as np
 TOL = 1e-9  # the round-off allowed on a validated state
 
 
-class DimensionMismatchError(ValueError):
-    """Operand dimensions are incompatible."""
-
-
-class InvalidStateError(ValueError):
-    """A matrix fails the density-matrix requirements."""
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Unit-trace positive-semidefinite Hermitian matrix, or a stack of them.
@@ -42,19 +34,19 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.size == 0:
-            raise InvalidStateError(f"expected square matrices, got shape {m.shape}")
+            raise ValueError(f"expected square matrices, got shape {m.shape}")
         if not np.isfinite(m).all():
-            raise InvalidStateError("matrix has a non-finite entry")
+            raise ValueError("matrix has a non-finite entry")
         herm = np.abs(m - m.conj().swapaxes(-1, -2)).max()
         if herm > TOL:
-            raise InvalidStateError(f"matrix is not Hermitian within tolerance ({herm:.3e})")
+            raise ValueError(f"matrix is not Hermitian within tolerance ({herm:.3e})")
         tr = np.trace(m, axis1=-2, axis2=-1).ravel()
         tr = tr[np.abs(tr - 1.0).argmax()]
         if abs(tr - 1.0) > TOL:
-            raise InvalidStateError(f"trace is {tr}, expected 1")
+            raise ValueError(f"trace is {tr}, expected 1")
         evals = np.linalg.eigvalsh(m)
         if evals.min() < -TOL:
-            raise InvalidStateError(
+            raise ValueError(
                 f"matrix has negative eigenvalue {evals.min():.3e}"
             )
         m.setflags(write=False)
@@ -81,9 +73,9 @@ def entropy_bits(eigenvalues) -> float | np.ndarray:
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if not np.isfinite(lam).all():
-        raise InvalidStateError("spectrum has a non-finite eigenvalue")
+        raise ValueError("spectrum has a non-finite eigenvalue")
     if lam.size and lam.min() < -TOL:
-        raise InvalidStateError(f"eigenvalue {lam.min():.3e} below -{TOL}")
+        raise ValueError(f"eigenvalue {lam.min():.3e} below -{TOL}")
     # a clipped eigenvalue becomes 1, whose term is 0; + 0.0 turns -0.0 into 0.0
     pos = np.where(lam > 0, lam, 1.0)
     h = -(pos * np.log2(pos)).sum(axis=-1) + 0.0

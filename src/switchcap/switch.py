@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel
-from .qmat import DensityMatrix, DimensionMismatchError, tensor
+from .qmat import DensityMatrix, tensor
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class ControlState:
 def switch_channel(n1: KrausChannel, n2: KrausChannel) -> KrausChannel:
     """Kraus operators K2_i K1_j (x) |0><0| + K1_j K2_i (x) |1><1|."""
     if not (n1.dim_in == n1.dim_out == n2.dim_in == n2.dim_out):
-        raise DimensionMismatchError("both channels must be square and equal-dimension")
+        raise ValueError("both channels must be square and equal-dimension")
     d = n1.dim_in
     k1, k2 = n1.ops, n2.ops
     # operator (i, j) pairs K2_i with K1_j; axes are (x, control, y, control')
@@ -101,5 +101,5 @@ def switched_depolarizing_analytic(terms, rho: DensityMatrix) -> DensityMatrix:
     a stack of states gives the stack of their outputs."""
     d, a, b = terms
     if rho.dim != d:
-        raise DimensionMismatchError(f"state dimension {rho.dim} != {d}")
+        raise ValueError(f"state dimension {rho.dim} != {d}")
     return DensityMatrix(tensor(np.eye(d), a) + tensor(rho.matrix, b))

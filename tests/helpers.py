@@ -7,7 +7,7 @@ import numpy as np
 
 from switchcap.channels import KrausChannel
 from switchcap.oracle import _ginibre, verify_equivalence
-from switchcap.qmat import DensityMatrix, DimensionMismatchError, entropy_bits, tensor
+from switchcap.qmat import DensityMatrix, entropy_bits, tensor
 from switchcap.switch import switch_channel
 
 # A suite's report is immutable and its grid fixed, so the tests that assert
@@ -48,7 +48,7 @@ def dephasing_channel(d):
 def compose_serial(first, second):
     """second after first; Kraus set is all products K2 K1."""
     if second.dim_in != first.dim_out:
-        raise DimensionMismatchError(f"serial mismatch: {first.dim_out} -> {second.dim_in}")
+        raise ValueError(f"serial mismatch: {first.dim_out} -> {second.dim_in}")
     ops = tuple(k2 @ k1 for k2 in second.kraus_ops for k1 in first.kraus_ops)
     return KrausChannel(ops)
 

@@ -16,7 +16,6 @@ from switchcap.capacity import (
 from switchcap.channels import KrausChannel, depolarizing_channel
 from switchcap.qmat import (
     DensityMatrix,
-    DimensionMismatchError,
     entropy_bits,
 )
 from switchcap.switch import (
@@ -183,7 +182,7 @@ class TestSwitchedSpectrum:
     def test_rejects_wrong_length(self):
         # a single spectrum, a stack of them and a scalar
         for spectrum in ([1.0, 0.0], np.full((4, 2), 0.5), 1.0):
-            with pytest.raises(DimensionMismatchError):
+            with pytest.raises(ValueError, match="expected 3 eigenvalues"):
                 switched_spectrum(terms(3, 0.0, PLUS), spectrum)
 
 
