@@ -40,7 +40,7 @@ def _gigabytes(n: int) -> str:
     if n < 1e300:
         return f"{n / 1e9:.3g}"
     import decimal  # only past float range: a module-level import slows start-up
-    return f"{decimal.Decimal(n) / 10**9:.3g}"
+    return f"{(decimal.Decimal(n) / 10**9).normalize():.3g}"
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,8 @@ def render_json(rows) -> str:
     return json.dumps([r._asdict() for r in rows], indent=2) + "\n"
 
 
-def _write(text: str, path: str | None):
-    if path is None or path == "-":
+def _write(text: str, path: str):
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=SweepConfig.optimizer_trials,
                        help="optimizer random restarts per row")
     sweep.add_argument("--seed", type=int, default=SweepConfig.seed)
-    sweep.add_argument("--out", default=None, help="output path, or - for stdout, the default")
+    sweep.add_argument("--out", default="-", help="output path, or - for stdout, the default")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
     verify = sub.add_parser("verify", help="run a named comparison suite")
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=float, default=1e-9)
     verify.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the report as JSON instead of text")
-    verify.add_argument("--out", default=None, help="output path, or - for stdout, the default")
+    verify.add_argument("--out", default="-", help="output path, or - for stdout, the default")
     return parser
 
 
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
             )
         elif not (math.isfinite(args.tol) and args.tol >= 0):
             raise ValueError(f"tolerance must be finite and >= 0, got {args.tol}")
-        if args.out not in (None, "-"):  # append mode keeps an existing file
+        if args.out != "-":  # append mode keeps an existing file
             open(args.out, "a").close()
     except (OSError, ValueError) as exc:
         parser.error(str(exc))  # exits 2

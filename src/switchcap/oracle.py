@@ -189,10 +189,10 @@ def _entropy(spectra: np.ndarray) -> np.ndarray:
 
 def _chi_vs_brute():
     # by covariance under U (x) I, the basis |i><i| attains chi for either control,
-    # and each of its outputs has entropy H_min and the same control marginal;
-    # q = 0.9 gives nearly pure outputs, whose small eigenvalues the entropy must keep
+    # and each of its outputs has entropy H_min and the same control marginal; the
+    # entropy must keep q = 0.9's small eigenvalues and drop q = 1's exact zeros
     for d, q, p, coherent in itertools.product(
-            (2, 3), (0.0, 0.5, 0.9), (0.2, 0.5), (True, False)):
+            (2, 3), (0.0, 0.5, 0.9, 1.0), (0.2, 0.5), (True, False)):
         ctrl = ControlState(p, coherent)
         outs = brute_force_switch_output(d, q, ctrl, DensityMatrix(np.eye(d) * np.eye(d)[:, None]))
         h_out = _entropy(outs.spectrum)

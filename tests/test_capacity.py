@@ -243,6 +243,13 @@ class TestHolevoAnalytic:
         assert abs(a.chi - chi(1.0 - p, coherent).chi) <= 1e-12
         # a coherent control never carries less than a dephased one
         assert chi(p, True).chi >= chi(p, False).chi - 1e-12
+        # an even superposition of the two orders carries the most
+        assert a.chi <= chi(0.5, coherent).chi + 1e-12
+
+    def test_not_monotone_in_q(self):
+        # less noise can carry less: chi dips between q = 0 and q = 1/2
+        chis = [holevo_analytic(terms(2, q, PLUS)).chi for q in (0.0, 0.25, 0.5)]
+        assert chis == pytest.approx([0.0487949, 0.0334369, 0.0716740], abs=1e-7)
 
     def test_continuous_in_q(self):
         # steep but continuous near q=1; gaps shrink under grid refinement

@@ -9,7 +9,6 @@ import pkgutil
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -49,19 +48,66 @@ def usage_error(argv):
     return exc.value.code, err.getvalue()
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--dims", "2", "--q", "0"],
-    ["verify", "analytic-vs-brute"],
-])
-@pytest.mark.parametrize("out", ["missing-dir/x.out", "."])
-def test_bad_out_fails_before_computing(tmp_path, monkeypatch, argv, out):
+BIG = "1" + "0" * 60  # a dimension past float range
+SWEEP = ["sweep", "--dims", "2", "--q", "0"]
+TOL_MESSAGE = "tolerance must be finite and >= 0, got "
+
+# Every usage error, with the text it must print: each row exits 2 before
+# computing anything, without a traceback.
+USAGE_ERRORS = [
+    pytest.param(["sweep", "--dims", "1", "--q", "0"], "dimensions must be >= 2", id="dims-1"),
+    pytest.param(["sweep", "--dims", "2", "--q", "1.5"], "q and p values must lie in [0, 1]",
+                 id="q-1.5"),
+    pytest.param(SWEEP + ["--trials", "0"], "trials must be >= 1", id="trials-0"),
+    pytest.param(SWEEP + ["--trials", "-3"], "trials must be >= 1", id="trials-negative"),
+    pytest.param(SWEEP + ["--format", "xml"], "argument --format: invalid choice: 'xml'",
+                 id="format-xml"),
+    # the first dimension above the limit at the default 200 restarts
+    pytest.param(["sweep", "--dims", "17", "--q", "0"],
+                 "d = 17 needs about 2.33 GB of Kraus operators and 0.0481 GB of random draws"
+                 " per row, above the 2.15 GB limit", id="dims-17"),
+    pytest.param(["sweep", "--dims", "40", "--q", "0"],
+                 "d = 40 needs about 394 GB of Kraus operators and 0.62 GB", id="dims-40"),
+    # the restarts' draws are made up front: 10^7 of them at d = 8 would not fit
+    pytest.param(["sweep", "--dims", "8", "--q", "0", "--trials", "10000000"],
+                 "0.026 GB of Kraus operators and 256 GB of random draws", id="draws-d8"),
+    # both byte counts print in one style, whether or not they fit in a float
+    pytest.param(["sweep", "--dims", BIG, "--q", "0"],
+                 f"d = {BIG} needs about 9.6e+352 GB of Kraus operators and 9.6e+174 GB of"
+                 " random draws", id="dims-past-float-range"),
+    pytest.param(SWEEP + ["--trials", "1" + "0" * 310],
+                 "9.6e-06 GB of Kraus operators and 4.48e+303 GB of random draws",
+                 id="trials-past-float-range"),
+    pytest.param(SWEEP + ["--out", "missing-dir/x.out"],
+                 "No such file or directory: 'missing-dir/x.out'", id="sweep-out-missing-dir"),
+    pytest.param(SWEEP + ["--trials", "1", "--out", "nonexistent-dir/x.csv"],
+                 "No such file or directory: 'nonexistent-dir/x.csv'",
+                 id="sweep-out-nonexistent-dir"),
+    pytest.param(SWEEP + ["--out", "."], "Is a directory: '.'", id="sweep-out-directory"),
+    pytest.param(["verify", "analytic-vs-brute", "--out", "missing-dir/x.out"],
+                 "No such file or directory: 'missing-dir/x.out'", id="verify-out-missing-dir"),
+    pytest.param(["verify", "analytic-vs-brute", "--out", "."], "Is a directory: '.'",
+                 id="verify-out-directory"),
+    pytest.param(["verify", "nonexistent"], "argument suite: invalid choice: 'nonexistent'",
+                 id="suite-nonexistent"),
+    pytest.param(["verify", "cptp", "--tol", "-1"], TOL_MESSAGE + "-1.0", id="tol--1"),
+    pytest.param(["verify", "cptp", "--tol", "-1e-05"], TOL_MESSAGE + "-1e-05", id="tol--1e-05"),
+    pytest.param(["verify", "cptp", "--tol", "nan"], TOL_MESSAGE + "nan", id="tol-nan"),
+    pytest.param(["verify", "cptp", "--tol", "inf"], TOL_MESSAGE + "inf", id="tol-inf"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error(tmp_path, monkeypatch, argv, message):
     calls = []
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "run_sweep", lambda *a: calls.append(a))
-    monkeypatch.setattr(cli.oracle, "verify_equivalence", lambda *a: calls.append(a))
-    code, err = usage_error(argv + ["--out", out])
+    for owner, name in [(cli, "run_sweep"), (cli.oracle, "verify_equivalence"),
+                        (capacity, "holevo_numeric")]:
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **kw: calls.append(name))
+    code, err = usage_error(argv)
     assert code == 2
     assert calls == []
+    assert message in err
     assert "Traceback" not in err
 
 
@@ -69,7 +115,7 @@ def test_bad_out_fails_before_computing(tmp_path, monkeypatch, argv, out):
 OUT_VALUES = ["x.csv", "x\0y", "missing-dir/x", "-", "."]
 OPTIONS = {
     "sweep": {
-        "--dims": ["2", "2,3", "0", "2,,3", "", "2_0", "1" + "0" * 60],
+        "--dims": ["2", "2,3", "0", "2,,3", "", "2_0", BIG],
         "--q": ["0", "0.3,1", "-0", "1.5", "nan", "x"],
         "--p": ["0.5", "0,1", "2", "inf"],
         "--trials": ["1", "0", "-1", "1" + "0" * 310],
@@ -110,8 +156,6 @@ def argvs(draw):
 @settings(max_examples=150, deadline=None)
 @given(argv=argvs())
 @example(argv=["verify", "cptp", "--out", "x\0y"])
-@example(argv=["sweep", "--dims", "1" + "0" * 60, "--q", "0"])
-@example(argv=["sweep", "--dims", "2", "--q", "0", "--trials", "1" + "0" * 310])
 def test_any_argv_exits_0_1_or_2(argv):
     """Whatever the argv, ``main`` returns 0 or 1 or exits 0 or 2: a bad input
     is a usage error, never another exception. Nothing is computed."""
@@ -329,27 +373,6 @@ class TestSweep:
         header = csv.splitlines()[0].split(",")
         assert all(list(row) == header for row in rows)
 
-    def test_bad_dims_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--dims", "1", "--q", "0"])
-        assert exc.value.code == 2
-
-    def test_bad_q_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--dims", "2", "--q", "1.5"])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("extra", [
-        "--trials 0",
-        "--trials -3",
-        "--out nonexistent-dir/x.csv",
-    ])
-    def test_bad_trials_or_out_usage_error(self, capsys, tmp_path, monkeypatch, extra):
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--dims", "2", "--q", "0", "--trials", "1"] + extra.split())
-        assert exc.value.code == 2
-
     @settings(max_examples=25, deadline=None)
     @given(trials=st.integers(max_value=0))
     def test_nonpositive_trials_property(self, trials):
@@ -364,37 +387,6 @@ class TestSweep:
         code, err = usage_error(["sweep", "--dims", "2", "--q", "0", f"--seed={seed}"])
         assert code == 2
         assert "seed must be >= 0" in err
-        assert "Traceback" not in err
-
-    def test_unknown_format_usage_error(self):
-        code, err = usage_error(["sweep", "--dims", "2", "--q", "0", "--format", "xml"])
-        assert code == 2
-        assert "argument --format: invalid choice" in err
-        assert "Traceback" not in err
-
-    def test_oversized_dimension_usage_error(self, capsys):
-        SweepConfig(dims=tuple(range(2, 17)), q_values=(0.0,))
-        start = time.perf_counter()
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--dims", "40", "--q", "0"])
-        assert time.perf_counter() - start < 1.0
-        assert exc.value.code == 2
-        assert "394 GB" in capsys.readouterr().err
-
-    def test_first_dimension_above_the_limit_usage_error(self):
-        # d = 16 is the largest row that fits; d = 17 is refused before computing
-        code, err = usage_error(["sweep", "--dims", "17", "--q", "0"])
-        assert code == 2
-        assert "2.33 GB of Kraus operators" in err
-        assert "Traceback" not in err
-
-    def test_oversized_draws_usage_error(self):
-        # the restarts' draws are made up front: 10^7 of them at d = 8 would not fit
-        start = time.perf_counter()
-        code, err = usage_error(["sweep", "--dims", "8", "--q", "0", "--trials", "10000000"])
-        assert time.perf_counter() - start < 1.0
-        assert code == 2
-        assert "256 GB of random draws" in err
         assert "Traceback" not in err
 
     def test_zero_chi_cells(self):
@@ -442,17 +434,6 @@ class TestVerify:
     def test_unreachable_tolerance_fails(self, capsys):
         code, out = run(capsys, "verify", "cptp", "--tol", "1e-18")
         assert code == 1
-
-    def test_unknown_suite_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "nonexistent"])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("tol", ["-1", "-1e-05", "nan", "inf"])
-    def test_bad_tolerance_usage_error(self, tol):
-        code, err = usage_error(["verify", "cptp", "--tol", tol])
-        assert code == 2
-        assert "tolerance must be finite and >= 0" in err
 
     @settings(max_examples=25, deadline=None)
     @given(tol=st.floats(max_value=-math.ulp(0.0)) | st.sampled_from([math.inf, math.nan]),
@@ -529,6 +510,8 @@ class TestRendering:
         assert chi_field == "0.0487949406954"
 
     def test_config_validation(self):
+        # d = 16 is the largest row that fits at the default 200 restarts
+        SweepConfig(dims=tuple(range(2, 17)), q_values=(0.0,))
         with pytest.raises(ValueError):
             SweepConfig(dims=(), q_values=(0.0,))
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from switchcap.qmat import (
@@ -252,6 +252,8 @@ def bad_state(kind, d, seed):
         m[0, 1] += 0.1
     elif kind == "trace":
         m *= 1.1
+    elif kind == "trace below one":
+        m *= 0.9
     else:
         m[d - 1, 0] = math.nan
     return m
@@ -275,10 +277,13 @@ class TestDensityMatrixStack:
         st.sampled_from([
             ("non-Hermitian", "Hermitian"),
             ("trace", "trace is"),
+            # among traces of 1: the check takes the one farthest from 1, not the largest
+            ("trace below one", "trace is"),
             ("negative", "negative eigenvalue"),
             ("nan", "non-finite"),
         ]),
     )
+    @example(2, 0, 2, 1, ("trace below one", "trace is"))
     @settings(max_examples=60, deadline=None)
     def test_one_bad_member_rejects_the_stack(self, d, seed, m, index, kind_and_message):
         kind, message = kind_and_message
