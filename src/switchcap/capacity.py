@@ -132,7 +132,7 @@ def optimize_ensemble(ch: KrausChannel, trials: int, seed: int) -> OptimizerResu
     d, n = ch.dim_in, ch.dim_out
     transfer = _transfer_matrix(ch)
     u = np.full((1, d), 1.0 / d)  # the orthonormal start
-    best_chi = _chi_pure(u[0], _output_entropies(transfer, n, u, np.eye(d)[None] + 0j)[0])
+    best_chi = _chi_pure(u[0], _output_entropies(transfer, n, u, np.eye(d)[None])[0])
 
     rng = np.random.default_rng(seed)
     sizes = rng.integers(2, d * d + 1, size=trials)

@@ -192,7 +192,7 @@ def _chi_vs_brute():
     # and each of its outputs has entropy H_min and the same control marginal; the
     # entropy must keep q = 0.9's small eigenvalues and drop q = 1's exact zeros
     for d, q, p, coherent in itertools.product(
-            (2, 3), (0.0, 0.5, 0.9, 1.0), (0.2, 0.5), (True, False)):
+            (2, 3), (0.0, 0.5, 0.9, 1.0), (0.0, 0.2, 0.5, 1.0), (True, False)):
         ctrl = ControlState(p, coherent)
         outs = brute_force_switch_output(d, q, ctrl, DensityMatrix(np.eye(d) * np.eye(d)[:, None]))
         h_out = _entropy(outs.spectrum)

@@ -5,10 +5,10 @@ import functools
 
 import numpy as np
 
-from switchcap.channels import KrausChannel
+from switchcap.channels import KrausChannel, depolarizing_channel
 from switchcap.oracle import _ginibre, verify_equivalence
 from switchcap.qmat import DensityMatrix, entropy_bits, tensor
-from switchcap.switch import switch_channel
+from switchcap.switch import ControlState, switch_channel
 
 # A suite's report is immutable and its grid fixed, so the tests that assert
 # on the same suite share one run of it.
@@ -25,6 +25,19 @@ def haar_unitary(d, seed):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def sampled_ensemble(rng, d):
+    """1 to d^2 random pure states of dimension d and Dirichlet weights, drawn from
+    ``rng`` in this order: the size, each vector's real then imaginary parts, the
+    weights."""
+    m = int(rng.integers(1, d * d + 1))
+    states = []
+    for _ in range(m):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v /= np.linalg.norm(v)
+        states.append(DensityMatrix(np.outer(v, v.conj())))
+    return rng.dirichlet(np.ones(m)), states
 
 
 def random_kraus(rng, n, dim_out, dim_in):
@@ -78,6 +91,22 @@ def apply(ch, rho):
 def switch_apply(n1, n2, rho, ctrl):
     """The SWITCH of n1 and n2 applied to rho (x) rho_c, on target (x) control."""
     return apply(switch_channel(n1, n2), DensityMatrix(tensor(rho.matrix, ctrl.density())))
+
+
+def representation_deviation(seed, rho):
+    """Max-entry difference between the SWITCH outputs on rho (x) |+><+| of a
+    noise-0.3 qubit depolarizer and of the same channel with its Kraus list mixed
+    by a unitary drawn from ``seed``: 0 for a representation-independent SWITCH."""
+    dep = depolarizing_channel(2, 0.3)
+    rng = np.random.default_rng(seed)
+    n = len(dep.ops)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v, _ = np.linalg.qr(g)
+    mixed = KrausChannel(tuple(sum(v[i, j] * dep.ops[j] for j in range(n)) for i in range(n)))
+    plus = ControlState(0.5)
+    a = switch_apply(dep, dep, rho, plus).matrix
+    b = switch_apply(mixed, mixed, rho, plus).matrix
+    return float(np.abs(a - b).max())
 
 
 def holevo_of_ensemble(ch, probs, states):

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import switchcap
 from switchcap import capacity, channels, cli, oracle, switch
-from switchcap.cli import SweepConfig, main, render_csv, run_sweep
+from switchcap.cli import SweepConfig, main, run_sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -258,36 +258,6 @@ def test_out_dash_writes_stdout(capsys, tmp_path, monkeypatch, argv):
 
 
 class TestSweep:
-    def test_csv_header_and_row(self, capsys):
-        code, out = run(
-            capsys, "sweep", "--dims", "2", "--q", "0", "--trials", "5", "--seed", "0"
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "d,q,p,chi_analytic,chi_numeric,entropy_control,h_min"
-        fields = lines[1].split(",")
-        assert fields[:3] == ["2", "0", "0.5"]
-        assert float(fields[3]) == pytest.approx(0.048795, abs=1e-6)
-        assert float(fields[5]) == pytest.approx(0.954434, abs=1e-6)
-        assert float(fields[6]) == pytest.approx(1.905639, abs=1e-6)
-        assert out.endswith("\n")
-
-    def test_noiseless_value(self, capsys):
-        code, out = run(capsys, "sweep", "--dims", "2", "--q", "1", "--trials", "5")
-        assert float(out.splitlines()[1].split(",")[3]) == pytest.approx(1.0)
-
-    def test_monotone_in_dimension(self):
-        cfg = SweepConfig(dims=(2, 3, 4, 5, 6), q_values=(0.0,), optimizer_trials=1)
-        rows = run_sweep(cfg)
-        chis = [r.chi_analytic for r in rows]
-        assert all(a > b for a, b in zip(chis, chis[1:]))
-
-    def test_rows_in_lexicographic_order(self):
-        cfg = SweepConfig(dims=(3, 2), q_values=(0.5, 0.0), optimizer_trials=1)
-        rows = run_sweep(cfg)
-        keys = [(r.d, r.q, r.p) for r in rows]
-        assert keys == sorted(keys)
-
     def test_offcenter_p_analytic_columns_match_numeric(self, capsys):
         argv = "sweep --dims 2,3 --q 0,0.3 --p 0,0.2,0.7,1 --trials 3".split()
         code, out = run(capsys, *argv)
@@ -300,16 +270,13 @@ class TestSweep:
             assert r.chi_analytic == pytest.approx(bound, abs=1e-12)
             assert r.chi_analytic == pytest.approx(r.chi_numeric, abs=1e-12)
 
-    def test_repeated_grid_values_give_one_row(self, capsys):
-        code, out = run(capsys, "sweep", "--dims", "2,2", "--q", "0,0", "--trials", "1")
-        assert code == 0
-        assert len(out.splitlines()) == 2
-
     @settings(max_examples=15, deadline=None)
     @given(dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4),
            qs=st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0]), min_size=1, max_size=4),
            ps=st.lists(st.sampled_from([0.0, -0.0, 0.5, 0.7, 1.0]), min_size=1, max_size=4),
            seed=st.integers(0, 3))
+    @example(dims=[3, 2], qs=[0.25, 0.0], ps=[0.5], seed=0)
+    @example(dims=[2, 2], qs=[0.0, 0.0], ps=[0.5], seed=0)
     def test_grid_order_and_repeats_property(self, dims, qs, ps, seed):
         # -0.0 is the grid value 0.0, and prints as 0 wherever it stands in the list
         unique = [sorted({v + 0 for v in values}) for values in (dims, qs, ps)]
@@ -352,13 +319,6 @@ class TestSweep:
         assert max(two, three) <= 1.02 * one
         estimate = sum(capacity.holevo_numeric_bytes(8, 1))
         assert one == pytest.approx(estimate, rel=0.03)
-
-    def test_byte_identical_reruns(self, tmp_path, capsys):
-        args = ["sweep", "--dims", "2", "--q", "0,0.5", "--trials", "10", "--seed", "7"]
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(f1)]) == 0
-        assert main(args + ["--out", str(f2)]) == 0
-        assert f1.read_bytes() == f2.read_bytes()
 
     def test_json_format(self, capsys):
         code, out = run(
@@ -429,7 +389,9 @@ class TestVerify:
         assert "cptp" in out
         # the check has no control weight and no seed, so only d and q are named
         code, out = run(capsys, "verify", "cptp", "--tol", "1e-12", "--json")
-        assert list(json.loads(out)["worst_case_parameters"]) == ["d", "q"]
+        report = json.loads(out)
+        assert report["description"] == "cptp"
+        assert list(report["worst_case_parameters"]) == ["d", "q"]
 
     def test_unreachable_tolerance_fails(self, capsys):
         code, out = run(capsys, "verify", "cptp", "--tol", "1e-18")
@@ -444,12 +406,6 @@ class TestVerify:
         assert code == 2
         assert "tolerance must be finite and >= 0" in err
         assert "Traceback" not in err
-
-    def test_json_report(self, capsys):
-        code, out = run(capsys, "verify", "marginals", "--tol", "1e-10", "--json")
-        report = json.loads(out)
-        assert report["description"] == "marginals"
-        assert report["max_abs_deviation"] <= 1e-10
 
     @pytest.mark.parametrize("devs, worst", [
         ([1e-17, math.nan, 1.0, math.nan], 1),
@@ -502,13 +458,6 @@ class TestVerify:
 
 
 class TestRendering:
-    def test_twelve_significant_digits(self):
-        cfg = SweepConfig(dims=(2,), q_values=(0.0,), optimizer_trials=1)
-        rows = run_sweep(cfg)
-        text = render_csv(rows)
-        chi_field = text.splitlines()[1].split(",")[3]
-        assert chi_field == "0.0487949406954"
-
     def test_config_validation(self):
         # d = 16 is the largest row that fits at the default 200 restarts
         SweepConfig(dims=tuple(range(2, 17)), q_values=(0.0,))

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import switchcap
 from switchcap import capacity, channels, qmat, switch
@@ -35,8 +35,6 @@ from switchcap.switch import (
 )
 
 from helpers import ginibre, partial_trace, suite_report, switch_apply
-
-PLUS = ControlState(0.5)
 
 
 def _marginal_difference(d, q, ctrl, rho):
@@ -190,26 +188,6 @@ class TestRandomDensityMatrix:
 
 
 class TestBruteForce:
-    def test_q0_block_structure(self):
-        d = 2
-        rho = ginibre(d, 0)
-        out = brute_force_switch_output(d, 0.0, PLUS, rho).matrix
-        r = out.reshape(d, 2, d, 2)
-        for ti in range(d):
-            for tj in range(d):
-                eye_part = (1.0 if ti == tj else 0.0) / (2 * d)
-                assert r[ti, 0, tj, 0] == pytest.approx(eye_part, abs=1e-12)
-                assert r[ti, 0, tj, 1] == pytest.approx(
-                    rho.matrix[ti, tj] / (2 * d**2), abs=1e-12
-                )
-
-    def test_q1_passes_input_through(self):
-        rho = ginibre(3, 5)
-        out = brute_force_switch_output(3, 1.0, PLUS, rho)
-        np.testing.assert_allclose(
-            out.matrix, tensor(rho.matrix, PLUS.density()), atol=1e-12
-        )
-
     @settings(max_examples=60, deadline=None)
     @given(
         d=st.sampled_from([2, 3, 4]),
@@ -218,6 +196,10 @@ class TestBruteForce:
         coherent=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # q = 0 and q = 1, where test_switch.py's TestAnalyticForm checks the closed
+    # form's block structure and its pass-through
+    @example(d=2, q=0.0, p=0.5, coherent=True, seed=0)
+    @example(d=3, q=1.0, p=0.5, coherent=True, seed=5)
     def test_equals_library_kraus_route(self, d, q, p, coherent, seed):
         ctrl = ControlState(p, coherent=coherent)
         rho = ginibre(d, seed)
@@ -336,7 +318,7 @@ class TestVerifyEquivalence:
         # each suite tests its whole grid, once: one that drops or repeats an
         # instance fails here, and so does a suite missing from the table
         instances = {"analytic-vs-brute": 1200, "spectrum-vs-eigensolver": 480,
-                     "chi-vs-optimizer": 24, "chi-vs-reference": 15, "chi-vs-brute": 128,
+                     "chi-vs-optimizer": 24, "chi-vs-reference": 15, "chi-vs-brute": 256,
                      "marginals": 30, "cptp": 9, "covariance": 132}
         assert instances.keys() == SUITES.keys()
         report = suite_report(suite)
@@ -369,9 +351,6 @@ class TestVerifyEquivalence:
             diff = ONE_STATE_DIFFERENCE[suite](d, q, ControlState(p), rho)
             expected.append((float(np.abs(diff).max()), dict(d=d, q=q, p=p, seed=seed)))
         assert list(SUITES[suite]()) == expected
-
-    def test_suite_names_exported(self):
-        assert "analytic-vs-brute" in SUITES
 
     def test_planted_fault_needs_a_binding(self):
         # a function that no switchcap module binds cannot be planted

@@ -17,32 +17,6 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 class TestTensor:
-    def test_identity(self):
-        np.testing.assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_projectors(self):
-        p = np.diag([1.0, 0.0])
-        np.testing.assert_allclose(tensor(p, p), np.diag([1.0, 0, 0, 0]))
-
-    def test_sigma_x_with_projector(self):
-        # nonzero entries of sigma_x (x) |0><0| sit exactly at (0,2), (2,0)
-        out = tensor(SX, np.diag([1.0, 0.0]))
-        nz = {tuple(idx) for idx in np.argwhere(np.abs(out) > 0)}
-        assert nz == {(0, 2), (2, 0)}
-
-    @given(st.integers(0, 1000))
-    def test_trace_multiplicative(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.isclose(tensor(a, b).trace(), a.trace() * b.trace())
-
-    @given(st.integers(0, 1000))
-    def test_associative(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
-        np.testing.assert_allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-
     @given(
         hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
                    elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False)),
