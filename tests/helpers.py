@@ -28,16 +28,19 @@ def haar_unitary(d, seed):
 
 
 def sampled_ensemble(rng, d):
-    """1 to d^2 random pure states of dimension d and Dirichlet weights, drawn from
-    ``rng`` in this order: the size, each vector's real then imaginary parts, the
-    weights."""
+    """Dirichlet weights and an (m, d) array of 1 to d^2 random unit vectors, drawn
+    from ``rng`` in this order: the size, each vector's real then imaginary parts,
+    the weights. Each vector is normalised on its own."""
     m = int(rng.integers(1, d * d + 1))
-    states = []
+    vecs = []
     for _ in range(m):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        states.append(DensityMatrix(np.outer(v, v.conj())))
-    return rng.dirichlet(np.ones(m)), states
+        vecs.append(v / np.linalg.norm(v))
+    return rng.dirichlet(np.ones(m)), np.array(vecs)
+
+
+def pure_states(vecs):
+    return [DensityMatrix(np.outer(v, v.conj())) for v in vecs]
 
 
 def random_kraus(rng, n, dim_out, dim_in):

@@ -22,6 +22,7 @@ from helpers import (
     dephasing_channel,
     ginibre,
     holevo_of_ensemble,
+    pure_states,
     representation_deviation,
     sampled_ensemble,
     suite_report,
@@ -73,7 +74,8 @@ def test_criterion_5_optimizer_attainment_and_bound():
         # independent sampling pass: the bound must also hold away from optima
         rng = np.random.default_rng(12345)
         for _ in range(200):
-            sampled = holevo_of_ensemble(ch, *sampled_ensemble(rng, d))
+            probs, vecs = sampled_ensemble(rng, d)
+            sampled = holevo_of_ensemble(ch, probs, pure_states(vecs))
             worst_excess = max(worst_excess, sampled - chi)
     ok = worst_gap <= 1e-6 and worst_excess <= 1e-8
     report(

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 from unittest import mock
 
@@ -193,20 +193,34 @@ def test_cli_runs_never_import_mpmath():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_every_public_function_is_reached_by_sweep_or_verify():
-    """No library code that only tests reach."""
-    reached = set()
-    sweep = ["sweep", "--dims", "2", "--q", "0", "--trials", "1"]
-    # every frame the profiler sees belongs to a function that was called
-    sys.setprofile(lambda frame, event, arg: reached.add(frame.f_code))
+def profiled_calls(*argvs):
+    """(callee code, caller ``module.function``) for each call that ``main`` makes
+    on each of ``argvs`` in turn, each of which must exit 0."""
+    calls = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            caller = frame.f_back
+            calls.append((frame.f_code, f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"))
+
+    sys.setprofile(record)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            for argv in (sweep, sweep + ["--format", "json"], ["verify", "cptp", "--json"]):
+            for argv in argvs:
                 assert main(argv) == 0
-        for suite in oracle.SUITES.values():
-            next(suite())
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def test_every_public_function_is_reached_by_sweep_or_verify(monkeypatch):
+    """No library code that only tests reach."""
+    # a suite's first instance calls what its others do
+    for name, suite in oracle.SUITES.items():
+        monkeypatch.setitem(oracle.SUITES, name, lambda suite=suite: islice(suite(), 1))
+    sweep = SWEEP + ["--trials", "1"]
+    verify = [["verify", suite, "--json"] for suite in oracle.SUITES]
+    reached = {code for code, _ in profiled_calls(sweep, sweep + ["--format", "json"], *verify)}
 
     unreached = []
     for info in pkgutil.iter_modules(switchcap.__path__):
@@ -229,21 +243,10 @@ def test_kraus_route_has_one_entry_point():
         channels.depolarizing_channel, switch.switch_with_fixed_control,
         capacity.optimize_ensemble)}
     callers = {name: set() for name in route.values()}
-
-    def record(frame, event, arg):
-        if event == "call" and frame.f_code in route:
-            caller = frame.f_back
-            callers[route[frame.f_code]].add(
-                f"{caller.f_globals['__name__']}.{caller.f_code.co_name}")
-
-    sys.setprofile(record)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["sweep", "--dims", "2", "--q", "0", "--trials", "1"]) == 0
-            assert main(["verify", "chi-vs-optimizer"]) == 0
-            assert main(["verify", "chi-vs-brute"]) == 0
-    finally:
-        sys.setprofile(None)
+    for code, caller in profiled_calls(SWEEP + ["--trials", "1"], ["verify", "chi-vs-optimizer"],
+                                       ["verify", "chi-vs-brute"]):
+        if code in route:
+            callers[route[code]].add(caller)
     assert callers == {name: {"switchcap.capacity.holevo_numeric"} for name in route.values()}
 
 
@@ -259,12 +262,12 @@ def test_out_dash_writes_stdout(capsys, tmp_path, monkeypatch, argv):
 
 class TestSweep:
     def test_offcenter_p_analytic_columns_match_numeric(self, capsys):
-        argv = "sweep --dims 2,3 --q 0,0.3 --p 0,0.2,0.7,1 --trials 3".split()
+        argv = "sweep --dims 2,3 --q 0,0.3 --p 0,0.2,0.5,0.7,1 --trials 3".split()
         code, out = run(capsys, *argv)
         assert code == 0
         assert all("" not in line.split(",") for line in out.splitlines())
         cfg = SweepConfig(dims=(2, 3), q_values=(0.0, 0.3),
-                          p_values=(0.0, 0.2, 0.7, 1.0), optimizer_trials=3)
+                          p_values=(0.0, 0.2, 0.5, 0.7, 1.0), optimizer_trials=3)
         for r in run_sweep(cfg):
             bound = math.log2(r.d) + r.entropy_control - r.h_min
             assert r.chi_analytic == pytest.approx(bound, abs=1e-12)
@@ -289,18 +292,7 @@ class TestSweep:
     def test_one_row_builds_its_closed_form_once(self):
         # every analytic column of a row reads the one (d, A, B) that it builds
         code = switch.depolarizing_switch_terms.__code__
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            calls += event == "call" and frame.f_code is code
-
-        sys.setprofile(count)
-        try:
-            run_sweep(SweepConfig(dims=(2,), q_values=(0.0,), optimizer_trials=1))
-        finally:
-            sys.setprofile(None)
-        assert calls == 1
+        assert [callee for callee, _ in profiled_calls(SWEEP + ["--trials", "1"])].count(code) == 1
 
     def test_sweep_peaks_at_one_row(self):
         # each row frees its Kraus stacks before the next row builds its own

@@ -170,7 +170,7 @@ def _failing_suites():
     return failing
 
 
-class TestRandomDensityMatrix:
+class TestGinibre:
     def test_unit_trace(self):
         for seed in range(20):
             rho = ginibre(3, seed)
@@ -195,21 +195,52 @@ class TestBruteForce:
         p=st.floats(0.0, 1.0),
         coherent=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 6),
     )
-    # q = 0 and q = 1, where test_switch.py's TestAnalyticForm checks the closed
-    # form's block structure and its pass-through
-    @example(d=2, q=0.0, p=0.5, coherent=True, seed=0)
-    @example(d=3, q=1.0, p=0.5, coherent=True, seed=5)
-    def test_equals_library_kraus_route(self, d, q, p, coherent, seed):
+    # the block structure at q = 0 and the pass-through at q = 1, which
+    # test_switch.py's TestAnalyticForm checks on the closed form alone
+    @example(d=2, q=0.0, p=0.5, coherent=True, seed=0, m=1)
+    @example(d=3, q=1.0, p=0.5, coherent=True, seed=5, m=1)
+    @example(d=2, q=1.0, p=0.5, coherent=True, seed=1, m=1)
+    @example(d=4, q=1.0, p=0.5, coherent=True, seed=3, m=3)
+    # a dephased control, and two completely depolarizing channels erasing the input
+    @example(d=2, q=0.3, p=0.5, coherent=False, seed=0, m=1)
+    @example(d=3, q=0.0, p=0.3, coherent=False, seed=0, m=2)
+    # a control on one order, and dimensions past the drawn ones
+    @example(d=3, q=0.7, p=1.0, coherent=True, seed=2, m=1)
+    @example(d=5, q=0.3, p=0.0, coherent=True, seed=2, m=1)
+    @example(d=6, q=0.7, p=0.5, coherent=True, seed=4, m=1)
+    def test_every_route_equals_the_oracle(self, d, q, p, coherent, seed, m):
+        """On each state of a stack: the closed form, its spectrum and control
+        marginal, and the Kraus route equal the oracle, and each stacked call
+        gives, row by row, what the state gives alone. The state suites of `verify`
+        take a coherent control only."""
         ctrl = ControlState(p, coherent=coherent)
-        rho = ginibre(d, seed)
         dep = depolarizing_channel(d, q)
-        brute = brute_force_switch_output(d, q, ctrl, rho).matrix
-        library = switch_apply(dep, dep, rho, ctrl).matrix
-        assert np.abs(brute - library).max() <= 1e-13
-        # the analytic-vs-brute suite checks the closed form for a coherent control only
-        closed = switched_depolarizing_analytic(terms(d, q, ctrl), rho).matrix
-        assert np.abs(brute - closed).max() <= 1e-12
+        t = terms(d, q, ctrl)
+        rhos = [ginibre(d, seed + i) for i in range(m)]
+        states = DensityMatrix(np.stack([rho.matrix for rho in rhos]))
+        # each spectrum goes in ascending: the output must come out descending anyway
+        stacked = (brute_force_switch_output(d, q, ctrl, states).matrix,
+                   switched_depolarizing_analytic(t, states).matrix,
+                   switched_spectrum(t, states.spectrum[:, ::-1]))
+        assert [a.shape for a in stacked] == [(m, 2 * d, 2 * d)] * 2 + [(m, 2 * d)]
+        for i, rho in enumerate(rhos):
+            brute = brute_force_switch_output(d, q, ctrl, rho)
+            closed = switched_depolarizing_analytic(t, rho).matrix
+            spectrum = switched_spectrum(t, rho.spectrum[::-1])
+            for row, single in zip(stacked, (brute.matrix, closed, spectrum)):
+                assert row[i].shape == single.shape
+                assert np.abs(row[i] - single).max() <= 1e-15
+            kraus = switch_apply(dep, dep, rho, ctrl)
+            assert np.abs(brute.matrix - kraus.matrix).max() <= 1e-13
+            assert np.abs(closed - kraus.matrix).max() <= 1e-12
+            assert np.abs(closed - brute.matrix).max() <= 1e-12
+            control = partial_trace(kraus, d, 2, "B").matrix
+            assert np.abs(reduced_control_state(t).matrix - control).max() <= 1e-12
+            assert np.all(spectrum[:-1] >= spectrum[1:])
+            assert abs(spectrum.sum() - 1.0) <= 1e-12
+            assert np.abs(spectrum - brute.spectrum).max() <= 1e-12
 
     def test_cached_stacks_are_read_only_and_shared(self):
         superop = _superoperator(3, 0.4)
@@ -227,37 +258,6 @@ class TestBruteForce:
         expected = sum(w @ sigma @ w.conj().T for w in switch_channel(dep, dep).ops)
         applied = (_superoperator(d, q) @ sigma.reshape(-1)).reshape(2 * d, 2 * d)
         assert np.abs(applied - expected).max() <= 1e-13
-
-
-class TestStackedStates:
-    """A stack of states gives, row by row, what each state gives alone."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        d=st.sampled_from([2, 3, 4]),
-        q=st.floats(0.0, 1.0),
-        p=st.floats(0.0, 1.0),
-        coherent=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-        m=st.integers(1, 6),
-    )
-    def test_rows_equal_single_state_calls(self, d, q, p, coherent, seed, m):
-        ctrl = ControlState(p, coherent=coherent)
-        rhos = [ginibre(d, seed + i) for i in range(m)]
-        states = DensityMatrix(np.stack([rho.matrix for rho in rhos]))
-        t = terms(d, q, ctrl)
-        brute = brute_force_switch_output(d, q, ctrl, states).matrix
-        closed = switched_depolarizing_analytic(t, states).matrix
-        spectra = switched_spectrum(t, states.spectrum)
-        assert brute.shape == closed.shape == (m, 2 * d, 2 * d)
-        assert spectra.shape == (m, 2 * d)
-        for i, rho in enumerate(rhos):
-            rows = (brute[i], closed[i], spectra[i])
-            singles = (brute_force_switch_output(d, q, ctrl, rho).matrix,
-                       switched_depolarizing_analytic(t, rho).matrix,
-                       switched_spectrum(t, rho.spectrum))
-            for row, single in zip(rows, singles):
-                assert np.abs(row - single).max() <= 1e-15
 
 
 class TestCovariance:

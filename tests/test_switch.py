@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from switchcap.channels import KrausChannel, depolarizing_channel
 from switchcap.qmat import DensityMatrix, tensor
@@ -15,7 +15,6 @@ from switchcap.switch import (
     switch_with_fixed_control,
     switched_depolarizing_analytic,
 )
-from switchcap.capacity import reduced_control_state, switched_spectrum
 
 from helpers import (
     apply,
@@ -24,7 +23,6 @@ from helpers import (
     dephasing_channel,
     ginibre,
     identity_channel,
-    partial_trace,
     random_kraus,
     representation_deviation,
     switch_apply,
@@ -111,21 +109,6 @@ class TestStackedSwitch:
 
 
 class TestSwitchApply:
-    def test_matches_analytic_at_q0(self):
-        dep = depolarizing_channel(2, 0.0)
-        rho = DensityMatrix(np.diag([1.0, 0.0]))
-        js = switch_apply(dep, dep, rho, PLUS)
-        ref = switched_depolarizing_analytic(terms(2, 0.0, PLUS), rho)
-        np.testing.assert_allclose(js.matrix, ref.matrix, atol=1e-10)
-
-    def test_dephased_control_erases_input(self):
-        dep = depolarizing_channel(3, 0.0)
-        for p in (0.3, 0.5):
-            for seed in (0, 1):
-                js = switch_apply(dep, dep, ginibre(3, seed), dephased(p))
-                expected = tensor(np.eye(3) / 3, np.diag([p, 1.0 - p]))
-                np.testing.assert_allclose(js.matrix, expected, atol=1e-12)
-
     @given(st.integers(0, 200))
     @settings(max_examples=15, deadline=None)
     def test_representation_independence(self, seed):
@@ -178,45 +161,8 @@ class TestAnalyticForm:
             expected = tensor(np.eye(3) / 3, np.diag([p, 1.0 - p]))
             np.testing.assert_allclose(js.matrix, expected, rtol=0, atol=1e-15)
 
-    def test_marginals_at_q0(self):
-        for seed in range(5):
-            rho = ginibre(3, seed)
-            js = switched_depolarizing_analytic(terms(3, 0.0, PLUS), rho)
-            tmarg = partial_trace(js, 3, 2, "A")
-            np.testing.assert_allclose(tmarg.matrix, np.eye(3) / 3, atol=1e-10)
-            cmarg = partial_trace(js, 3, 2, "B")
-            np.testing.assert_allclose(
-                cmarg.matrix,
-                reduced_control_state(terms(3, 0.0, PLUS)).matrix,
-                atol=1e-10,
-            )
-
 
 class TestSwitchTerms:
-    @given(
-        st.sampled_from([2, 3, 4]),
-        st.floats(0.0, 1.0),
-        st.floats(0.0, 1.0),
-        st.booleans(),
-        st.integers(0, 10_000),
-    )
-    @settings(max_examples=60, deadline=None)
-    @example(2, 1.0, 0.5, True, 1)  # noiseless channels pass the input through
-    def test_closed_form_equals_kraus_route(self, d, q, p, coherent, seed):
-        ctrl = ControlState(p, coherent=coherent)
-        dep = depolarizing_channel(d, q)
-        rho = ginibre(d, seed)
-        kraus = switch_apply(dep, dep, rho, ctrl)
-        t = terms(d, q, ctrl)
-        closed = switched_depolarizing_analytic(t, rho)
-        np.testing.assert_allclose(closed.matrix, kraus.matrix, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            reduced_control_state(t).matrix,
-            partial_trace(kraus, d, 2, "B").matrix,
-            rtol=0,
-            atol=1e-12,
-        )
-
     @pytest.mark.parametrize("d, q, p", [(2, 0.0, 0.5), (3, 0.4, 0.2), (5, 1.0, 0.7)])
     def test_real_symmetric_and_unit_trace(self, d, q, p):
         dim, a, b = terms(d, q, ControlState(p))
@@ -266,22 +212,11 @@ class TestSwitchTerms:
             with pytest.raises(ValueError):
                 terms(2, q, ctrl)
             return
-        # a dephased control is valid input: each form agrees with the Kraus route
-        rho = ginibre(2, 0)
-        dep = depolarizing_channel(2, q)
-        kraus = switch_apply(dep, dep, rho, ctrl)
-        t = terms(2, q, ctrl)
-        # the output form reads d from the terms too, and refuses a state of another d
+        # a dephased control is valid input, which test_oracle.py ties to the
+        # oracle; the output form reads d from the terms too, and refuses a state
+        # of another d
         with pytest.raises(ValueError, match="state dimension 3 != 2"):
-            switched_depolarizing_analytic(t, ginibre(3, 0))
-        _, a, b = t
-        for got, want in (
-            (tensor(np.eye(2), a) + tensor(rho.matrix, b), kraus.matrix),
-            (switched_depolarizing_analytic(t, rho).matrix, kraus.matrix),
-            (reduced_control_state(t).matrix, partial_trace(kraus, 2, 2, "B").matrix),
-            (switched_spectrum(t, rho.spectrum), kraus.spectrum),
-        ):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            switched_depolarizing_analytic(terms(2, q, ctrl), ginibre(3, 0))
 
 
 class TestFixedControlEmbedding:
