@@ -69,38 +69,48 @@ def _weyl_ops(d: int) -> list[np.ndarray]:
     return ops
 
 
-# The suites call the oracle many times in a row at one (d, q), so the last
-# superoperator is kept; it is read-only because every caller shares it.
-@functools.lru_cache(maxsize=1)
-def _superoperator(d: int, q: float) -> np.ndarray:
-    """The read-only (4d^2, 4d^2) superoperator sum_W W (x) conj(W) of the SWITCH of
-    two noise-q depolarizers, over its (d^2+1)^2 Kraus operators W = K_i K_j (x)
-    |0><0| + K_j K_i (x) |1><1|. Entry ((a, b), (i, j)) is sum_W W[a, i]
+def _pair_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_W W (x) conj(W) over the pairs W = L R (x) |0><0| + R L (x) |1><1| of two
+    stacks of d x d operators L and R. Entry ((a, b), (i, j)) is sum_W W[a, i]
     conj(W[b, j]), built as one GEMM over the stack of W."""
-    kraus = np.array(
-        [np.sqrt(q) * np.eye(d, dtype=complex)]
-        + [np.sqrt(1.0 - q) / d * u for u in _weyl_ops(d)]
-    )
-    n = len(kraus)
-    w = np.zeros((n, n, d, 2, d, 2), dtype=complex)
-    w[:, :, :, 0, :, 0] = kraus[:, None] @ kraus[None, :]
-    w[:, :, :, 1, :, 1] = kraus[None, :] @ kraus[:, None]
-    flat = w.reshape(n * n, -1)
+    d = left.shape[-1]
+    w = np.zeros((len(left), len(right), d, 2, d, 2), dtype=complex)
+    w[:, :, :, 0, :, 0] = left[:, None] @ right[None, :]
+    w[:, :, :, 1, :, 1] = right[None, :] @ left[:, None]
+    flat = w.reshape(-1, 4 * d * d)
     # rows (a, i) and columns (b, j), regrouped as rows (a, b) and columns (i, j)
-    superop = (flat.T @ flat.conj()).reshape((2 * d,) * 4).transpose(0, 2, 1, 3)
-    superop = superop.reshape(4 * d * d, 4 * d * d)
-    superop.flags.writeable = False
-    return superop
+    gram = (flat.T @ flat.conj()).reshape((2 * d,) * 4).transpose(0, 2, 1, 3)
+    return gram.reshape(4 * d * d, 4 * d * d)
 
 
-def brute_force_switch_output(
-    d: int, q: float, ctrl: ControlState, rho: DensityMatrix
-) -> DensityMatrix:
+@functools.lru_cache(maxsize=None)
+def _class_sums(d: int) -> np.ndarray:
+    """The (3, 4d^2, 4d^2) pair sums of the unit Kraus operators I and Weyl U, by class
+    (I, I); (I, U) and (U, I); (U, U'): built once per d, read-only, as callers share it."""
+    eye, weyl = np.eye(d, dtype=complex)[None], np.array(_weyl_ops(d))
+    sums = np.array([_pair_sum(eye, eye), _pair_sum(eye, weyl) + _pair_sum(weyl, eye),
+                     _pair_sum(weyl, weyl)])
+    sums.flags.writeable = False
+    return sums
+
+
+def _superoperator(d: int, q: float) -> np.ndarray:
+    """The superoperator sum_W W (x) conj(W) of the SWITCH of two noise-q depolarizers, over
+    its Kraus operators W = K_i K_j (x) |0><0| + K_j K_i (x) |1><1|, K = sqrt(q) I or
+    sqrt(1-q)/d U: the class sums, weighted q^2, q(1-q)/d^2 and (1-q)^2/d^4."""
+    s0, s1, s2 = _class_sums(d)
+    return q**2 * s0 + q * (1.0 - q) / d**2 * s1 + (1.0 - q) ** 2 / d**4 * s2
+
+
+def brute_force_switch_output(d: int, q: float, ctrl, rho: DensityMatrix) -> DensityMatrix:
     """Sum of W sigma W' over all (d^2+1)^2 Kraus pairs of the switched channel;
-    a stack of states gives the stack of their outputs."""
-    c = np.sqrt(ctrl.p * (1.0 - ctrl.p)) if ctrl.coherent else 0.0
-    rho_c = np.array([[ctrl.p, c], [c, 1.0 - ctrl.p]], dtype=complex)
-    sigma = tensor(rho.matrix, rho_c)
+    a stack of states gives the stack of their outputs, and a sequence of
+    ControlStates a leading axis over it, each row what its control gives alone."""
+    ctrls = [ctrl] if isinstance(ctrl, ControlState) else ctrl
+    offs = [np.sqrt(c.p * (1.0 - c.p)) if c.coherent else 0.0 for c in ctrls]
+    rho_c = np.array([[[c.p, o], [o, 1.0 - c.p]] for c, o in zip(ctrls, offs)], dtype=complex)
+    lead = (-1,) + (1,) * (rho.matrix.ndim - 2) if ctrls is ctrl else ()
+    sigma = tensor(rho.matrix, rho_c.reshape(lead + (2, 2)))
     flat = sigma.reshape(sigma.shape[:-2] + (-1,))
     return DensityMatrix((flat @ _superoperator(d, q).T).reshape(sigma.shape))
 
@@ -128,40 +138,44 @@ def reference_constants() -> dict[str, float]:
 
 
 def _state_suite(dims, q_values, p_values, n_states, deviations):
-    """Each state's (deviation, parameters) over a grid, in d, q, p, seed order:
-    ``deviations(d, q, ctrl, terms, states)`` gives one per state, where ``terms`` is
-    the library's (d, A, B). The Ginibre states of seeds 0 to n_states - 1 are one
-    stack, drawn and validated once per d."""
+    """Each state's (deviation, parameters) over a grid, in d, q, p, seed order: one
+    ``deviations(d, q, ctrls, terms, states)`` call per (d, q) gives a row per control,
+    an entry per state, with ``terms`` the library's (d, A, B) stacked over the controls.
+    The Ginibre states of seeds 0 to n_states - 1 are one stack, validated once per d."""
+    ctrls = [ControlState(p) for p in p_values]
     for d in dims:
         states = DensityMatrix(np.stack([_ginibre(d, seed) for seed in range(n_states)]))
-        for q, p in itertools.product(q_values, p_values):
-            ctrl = ControlState(p)
-            terms = switch.depolarizing_switch_terms(d, q, ctrl)
-            for seed, dev in enumerate(deviations(d, q, ctrl, terms, states)):
-                yield float(dev), dict(d=d, q=q, p=p, seed=seed)
+        for q in q_values:
+            _, a, b = zip(*(switch.depolarizing_switch_terms(d, q, c) for c in ctrls))
+            terms = (d, np.array(a)[:, None], np.array(b)[:, None])
+            for p, row in zip(p_values, deviations(d, q, ctrls, terms, states)):
+                for seed, dev in enumerate(row):
+                    yield float(dev), dict(d=d, q=q, p=p, seed=seed)
 
 
-def _analytic_vs_brute(d, q, ctrl, terms, states):
-    brute = brute_force_switch_output(d, q, ctrl, states)
+def _analytic_vs_brute(d, q, ctrls, terms, states):
+    brute = brute_force_switch_output(d, q, ctrls, states)
     analytic = switch.switched_depolarizing_analytic(terms, states)
-    return np.abs(brute.matrix - analytic.matrix).max(axis=(1, 2))
+    return np.abs(brute.matrix - analytic.matrix).max(axis=(-2, -1))
 
 
-def _spectrum_vs_eigensolver(d, q, ctrl, terms, states):
-    predicted = capacity.switched_spectrum(terms, states.spectrum)
-    out = brute_force_switch_output(d, q, ctrl, states)
-    return np.abs(predicted - out.spectrum).max(axis=1)
+def _spectrum_vs_eigensolver(d, q, ctrls, terms, states):
+    _, a, b = terms
+    lam = np.broadcast_to(states.spectrum, (len(ctrls),) + states.spectrum.shape)
+    predicted = capacity.switched_spectrum((d, a[:, None], b[:, None]), lam)
+    out = brute_force_switch_output(d, q, ctrls, states)
+    return np.abs(predicted - out.spectrum).max(axis=-1)
 
 
-def _marginals(d, q, ctrl, terms, states):
+def _marginals(d, q, ctrls, terms, states):
     target_ref = np.eye(d) / d
-    control_ref = capacity.reduced_control_state(terms).matrix
-    # one oracle call per state, as perfbench's trace counts them
-    for rho in states.matrix:
-        out = brute_force_switch_output(d, q, ctrl, DensityMatrix(rho)).matrix.reshape(d, 2, d, 2)
-        tmarg = np.einsum("ikjk->ij", out) - target_ref
-        cmarg = np.einsum("kikj->ij", out) - control_ref
-        yield max(np.abs(tmarg).max(), np.abs(cmarg).max())
+    # one oracle call per control and state, as perfbench's trace counts them
+    for ctrl, control_ref in zip(ctrls, capacity.reduced_control_state(terms).matrix[:, 0]):
+        outs = [brute_force_switch_output(d, q, ctrl, DensityMatrix(rho)).matrix
+                for rho in states.matrix]
+        yield [max(np.abs(np.einsum("ikjk->ij", out) - target_ref).max(),
+                   np.abs(np.einsum("kikj->ij", out) - control_ref).max())
+               for out in np.reshape(outs, (-1, d, 2, d, 2))]
 
 
 def _chi_vs_optimizer():

@@ -98,7 +98,8 @@ def depolarizing_switch_terms(
 
 def switched_depolarizing_analytic(terms, rho: DensityMatrix) -> DensityMatrix:
     """Closed-form SWITCH output I (x) A + rho (x) B, in target (x) control order;
-    a stack of states gives the stack of their outputs."""
+    a stack of states gives the stack of their outputs, and A and B stacked as
+    (k, 1, 2, 2) over k controls give a leading axis over them."""
     d, a, b = terms
     if rho.dim != d:
         raise ValueError(f"state dimension {rho.dim} != {d}")

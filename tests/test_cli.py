@@ -236,9 +236,13 @@ def test_every_public_function_is_reached_by_sweep_or_verify(monkeypatch):
     assert unreached == []
 
 
-def test_kraus_route_has_one_entry_point():
+def test_kraus_route_has_one_entry_point(monkeypatch):
     """The sweep and the chi-vs-optimizer and chi-vs-brute suites build the Kraus
     route only through ``capacity.holevo_numeric``, so a new route replaces one body."""
+    # each suite's first instance runs its numeric route
+    for name in ("chi-vs-optimizer", "chi-vs-brute"):
+        suite = oracle.SUITES[name]
+        monkeypatch.setitem(oracle.SUITES, name, lambda suite=suite: islice(suite(), 1))
     route = {fn.__code__: fn.__name__ for fn in (
         channels.depolarizing_channel, switch.switch_with_fixed_control,
         capacity.optimize_ensemble)}

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import switchcap
-from switchcap import capacity, channels, qmat, switch
+from switchcap import capacity, channels, oracle, qmat, switch
 from switchcap.capacity import reduced_control_state, switched_spectrum
 from switchcap.channels import depolarizing_channel
 from switchcap.oracle import (
     ComparisonReport,
     SUITES,
+    _class_sums,
     _covariance_deviations,
     _cptp_deviation,
     _superoperator,
@@ -196,25 +197,29 @@ class TestBruteForce:
         coherent=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         m=st.integers(1, 6),
+        more=st.lists(st.builds(ControlState, st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                                st.booleans()), max_size=4),
     )
     # the block structure at q = 0 and the pass-through at q = 1, which
     # test_switch.py's TestAnalyticForm checks on the closed form alone
-    @example(d=2, q=0.0, p=0.5, coherent=True, seed=0, m=1)
-    @example(d=3, q=1.0, p=0.5, coherent=True, seed=5, m=1)
-    @example(d=2, q=1.0, p=0.5, coherent=True, seed=1, m=1)
-    @example(d=4, q=1.0, p=0.5, coherent=True, seed=3, m=3)
+    @example(d=2, q=0.0, p=0.5, coherent=True, seed=0, m=1, more=[])
+    @example(d=3, q=1.0, p=0.5, coherent=True, seed=5, m=1, more=[])
+    @example(d=2, q=1.0, p=0.5, coherent=True, seed=1, m=1, more=[])
+    @example(d=4, q=1.0, p=0.5, coherent=True, seed=3, m=3, more=[])
     # a dephased control, and two completely depolarizing channels erasing the input
-    @example(d=2, q=0.3, p=0.5, coherent=False, seed=0, m=1)
-    @example(d=3, q=0.0, p=0.3, coherent=False, seed=0, m=2)
+    @example(d=2, q=0.3, p=0.5, coherent=False, seed=0, m=1, more=[])
+    @example(d=3, q=0.0, p=0.3, coherent=False, seed=0, m=2, more=[])
     # a control on one order, and dimensions past the drawn ones
-    @example(d=3, q=0.7, p=1.0, coherent=True, seed=2, m=1)
-    @example(d=5, q=0.3, p=0.0, coherent=True, seed=2, m=1)
-    @example(d=6, q=0.7, p=0.5, coherent=True, seed=4, m=1)
-    def test_every_route_equals_the_oracle(self, d, q, p, coherent, seed, m):
+    @example(d=3, q=0.7, p=1.0, coherent=True, seed=2, m=1, more=[])
+    @example(d=5, q=0.3, p=0.0, coherent=True, seed=2, m=1, more=[])
+    @example(d=6, q=0.7, p=0.5, coherent=True, seed=4, m=3,
+             more=[ControlState(p, c) for p in (0.0, 1.0) for c in (True, False)])
+    def test_every_route_equals_the_oracle(self, d, q, p, coherent, seed, m, more):
         """On each state of a stack: the closed form, its spectrum and control
         marginal, and the Kraus route equal the oracle, and each stacked call
-        gives, row by row, what the state gives alone. The state suites of `verify`
-        take a coherent control only."""
+        gives, row by row, what the state gives alone; a sequence of controls, or
+        (d, A, B) stacked over them, gives what each control gives alone. The state
+        suites of `verify` take a coherent control only."""
         ctrl = ControlState(p, coherent=coherent)
         dep = depolarizing_channel(d, q)
         t = terms(d, q, ctrl)
@@ -225,6 +230,15 @@ class TestBruteForce:
                    switched_depolarizing_analytic(t, states).matrix,
                    switched_spectrum(t, states.spectrum[:, ::-1]))
         assert [a.shape for a in stacked] == [(m, 2 * d, 2 * d)] * 2 + [(m, 2 * d)]
+        ctrls = [ctrl] + more
+        a, b = (np.array(x)[:, None] for x in zip(*(terms(d, q, c)[1:] for c in ctrls)))
+        rows = (brute_force_switch_output(d, q, ctrls, states).matrix,
+                switched_depolarizing_analytic((d, a, b), states).matrix)
+        assert [r.shape for r in rows] == [(len(ctrls), m, 2 * d, 2 * d)] * 2
+        for c, brute_row, closed_row in zip(ctrls, *rows):
+            assert np.array_equal(brute_row, brute_force_switch_output(d, q, c, states).matrix)
+            closed = switched_depolarizing_analytic(terms(d, q, c), states).matrix
+            assert np.array_equal(closed_row, closed)
         for i, rho in enumerate(rhos):
             brute = brute_force_switch_output(d, q, ctrl, rho)
             closed = switched_depolarizing_analytic(t, rho).matrix
@@ -243,13 +257,15 @@ class TestBruteForce:
             assert np.abs(spectrum - brute.spectrum).max() <= 1e-12
 
     def test_cached_stacks_are_read_only_and_shared(self):
-        superop = _superoperator(3, 0.4)
-        assert superop.shape == (36, 36)
+        # each d's three class sums are built once and shared by every q
+        sums = _class_sums(3)
+        assert sums.shape == (3, 36, 36)
         with pytest.raises(ValueError):
-            superop[0, 0] = 1.0
-        assert _superoperator(3, 0.4) is superop
+            sums[0, 0, 0] = 1.0
+        assert _class_sums(3) is sums
 
-    @pytest.mark.parametrize("d, q", itertools.product((2, 3, 4), (0.0, 0.4, 1.0)))
+    # (I, I) weighs less than (U, U') times d^4 at q = 0.4 and more at q = 0.7
+    @pytest.mark.parametrize("d, q", itertools.product((2, 3, 4, 5), (0.0, 0.4, 0.7, 1.0)))
     def test_superoperator_applies_the_pairwise_sum(self, d, q):
         # a non-product sigma, so that a swap of (a, b, i, j) axes cannot cancel out;
         # the sum runs over the library's switched Kraus operators
@@ -295,6 +311,16 @@ class TestCptp:
     def test_doubled_identity_is_not_trace_preserving(self, d):
         # X -> 2X is completely positive, and its Choi matrix traces to 2I
         assert _cptp_deviation(2 * np.eye(4 * d * d)) == pytest.approx(1.0, abs=1e-14)
+
+    def test_misweighted_pair_class_is_not_trace_preserving(self):
+        # the 2d^2 pairs (I, U) and (U, I) weighted q(1-q)/d, not q(1-q)/d^2, add
+        # (2d - 2) q(1 - q) to Tr_out J, up to round-off: the suite reads the weights
+        with _planted(oracle._superoperator, "q * (1.0 - q) / d**2", "q * (1.0 - q) / d"):
+            instances = list(SUITES["cptp"]())
+        assert len(instances) == 9
+        for dev, grid in instances:
+            d, q = grid["d"], grid["q"]
+            assert dev == pytest.approx((2 * d - 2) * q * (1 - q), abs=1e-14)
 
 
 class TestReferenceConstants:
