@@ -7,7 +7,7 @@ so by Holevo's covariant-channel theorem chi = log2(d) + H(d A + B) - H_min at
 every control weight p, and the uniform orthonormal ensemble attains it. d A + B
 is the control marginal; H_min is the entropy of A + lam B at a pure input.
 A seeded random-restart search over ensembles is kept as an independent
-check: it must reach the closed form and never exceed it.
+check: it must reach the closed form and exceed it by no more than round-off.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def optimize_ensemble(ch: KrausChannel, trials: int, seed: int) -> OptimizerResu
     restarts of one size go in stacks of at most ``STACK_BYTES`` of outputs, or
     of one restart if larger, with one ``_chi_pure`` call per ensemble. For a
     covariant channel the orthonormal ensemble already attains chi; the random
-    restarts are a check that nothing beats it.
+    restarts are a check that none exceeds it by more than round-off.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

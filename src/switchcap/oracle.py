@@ -1,10 +1,10 @@
 """Independent brute-force verification layer.
 
 The brute-force path below rebuilds everything from raw operator sums: its
-own Weyl unitaries, its own Kraus list, and one stacked array of all
-(d^2 + 1)^2 switched operators W. The sum of W (x) conj(W) over every
-pair is one cached superoperator, so the output, the sum of W sigma W'
-over every pair, is one matrix-vector product with vec(sigma).
+own Weyl unitaries and Kraus list, and per d the cached sums of W (x) conj(W)
+over the switched operators W of three Kraus-pair classes, (I, I), (I, U)
+with (U, I), and (U, U'). Each q weights them into a superoperator S, so the
+sum of W sigma W' over all pairs is S vec(sigma).
 From the library it takes only qmat's ``DensityMatrix`` and ``tensor`` and the
 fields of a ``switch.ControlState``, and it has its own entropy, so agreement
 between the two paths is meaningful. The suites call the library functions they certify.

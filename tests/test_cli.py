@@ -111,6 +111,25 @@ def test_usage_error(tmp_path, monkeypatch, argv, message):
     assert "Traceback" not in err
 
 
+# Each option whose values in a whole range are usage errors: every value drawn,
+# written as ``--opt=value`` or as ``--opt value``, exits 2 with the message.
+@pytest.mark.parametrize("argv, option, values, message", [
+    pytest.param(SWEEP, "--trials", st.integers(max_value=0), "trials must be >= 1", id="trials"),
+    pytest.param(SWEEP, "--seed", st.integers(max_value=-1), "seed must be >= 0", id="seed"),
+    pytest.param(["verify", "cptp"], "--tol",
+                 st.floats(max_value=-math.ulp(0.0)) | st.sampled_from([math.inf, math.nan]),
+                 TOL_MESSAGE, id="tol"),
+])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), joined=st.booleans())
+def test_bad_value_property(argv, option, values, message, data, joined):
+    value = repr(data.draw(values))
+    code, err = usage_error(argv + ([f"{option}={value}"] if joined else [option, value]))
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
 # Each command's options, each with values valid and invalid; None marks a flag.
 OUT_VALUES = ["x.csv", "x\0y", "missing-dir/x", "-", "."]
 OPTIONS = {
@@ -329,22 +348,6 @@ class TestSweep:
         header = csv.splitlines()[0].split(",")
         assert all(list(row) == header for row in rows)
 
-    @settings(max_examples=25, deadline=None)
-    @given(trials=st.integers(max_value=0))
-    def test_nonpositive_trials_property(self, trials):
-        code, err = usage_error(["sweep", "--dims", "2", "--q", "0", f"--trials={trials}"])
-        assert code == 2
-        assert "trials must be >= 1" in err
-        assert "Traceback" not in err
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(max_value=-1))
-    def test_negative_seed_property(self, seed):
-        code, err = usage_error(["sweep", "--dims", "2", "--q", "0", f"--seed={seed}"])
-        assert code == 2
-        assert "seed must be >= 0" in err
-        assert "Traceback" not in err
-
     def test_zero_chi_cells(self):
         # at q = 0 a control on one order leaves I/d: chi is 0, and chi_numeric
         # is the round-off of whichever ensemble came out highest
@@ -392,16 +395,6 @@ class TestVerify:
     def test_unreachable_tolerance_fails(self, capsys):
         code, out = run(capsys, "verify", "cptp", "--tol", "1e-18")
         assert code == 1
-
-    @settings(max_examples=25, deadline=None)
-    @given(tol=st.floats(max_value=-math.ulp(0.0)) | st.sampled_from([math.inf, math.nan]),
-           joined=st.booleans())
-    def test_bad_tolerance_property(self, tol, joined):
-        form = [f"--tol={tol!r}"] if joined else ["--tol", repr(tol)]
-        code, err = usage_error(["verify", "cptp", *form])
-        assert code == 2
-        assert "tolerance must be finite and >= 0" in err
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize("devs, worst", [
         ([1e-17, math.nan, 1.0, math.nan], 1),

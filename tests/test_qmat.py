@@ -18,7 +18,7 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 class TestTensor:
     @given(
-        hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+        hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=3, max_side=8),
                    elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False)),
         hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
                    elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False)),
@@ -26,21 +26,15 @@ class TestTensor:
     )
     @settings(max_examples=100, deadline=None)
     def test_byte_identical_to_kron(self, a, b, transpose):
-        # a transposed operand is a strided view, which takes another multiply loop
+        # a transposed operand is a strided view, which takes another multiply loop;
+        # a left operand with a leading stack axis gives one product per row
         if transpose:
             b = b.T
-        assert tensor(a, b).tobytes() == np.kron(a, b).tobytes()
-
-    @given(st.integers(0, 500), st.integers(1, 4), st.integers(1, 5))
-    @settings(max_examples=30, deadline=None)
-    def test_stacks_broadcast_row_by_row(self, seed, d, m):
-        rng = np.random.default_rng(seed)
-        rhos = np.stack([ginibre(d, seed + i).matrix for i in range(m)])
-        a, b = rng.standard_normal((2, 2, 2))
-        stacked = tensor(np.eye(d), a) + tensor(rhos, b)
-        assert stacked.shape == (m, 2 * d, 2 * d)
-        for i in range(m):
-            assert np.abs(stacked[i] - (tensor(np.eye(d), a) + tensor(rhos[i], b))).max() <= 1e-15
+        out = tensor(a, b)
+        for i in np.ndindex(a.shape[:-2]):
+            kron = np.kron(a[i], b)
+            assert out.shape == a.shape[:-2] + kron.shape
+            assert out[i].tobytes() == kron.tobytes()
 
 
 class TestPartialTrace:
@@ -81,24 +75,6 @@ class TestSpectrum:
         np.testing.assert_allclose(DensityMatrix(m).spectrum, (5 / 8, 3 / 8), atol=1e-12)
 
     @given(st.integers(0, 500), st.integers(1, 6))
-    @settings(max_examples=30)
-    def test_sums_to_trace(self, seed, n):
-        assert abs(ginibre(n, seed).spectrum.sum() - 1.0) < 1e-12
-
-    @given(st.integers(0, 500), st.integers(1, 6))
-    @settings(max_examples=30)
-    def test_returns_descending_array(self, seed, n):
-        spec = ginibre(n, seed).spectrum
-        assert isinstance(spec, np.ndarray) and spec.shape == (n,)
-        assert np.all(spec[:-1] >= spec[1:])
-
-    @given(st.integers(0, 500), st.integers(1, 6))
-    @settings(max_examples=30)
-    def test_is_the_eigensolver_output(self, seed, n):
-        rho = ginibre(n, seed)
-        assert rho.spectrum.tobytes() == np.linalg.eigvalsh(rho.matrix)[::-1].tobytes()
-
-    @given(st.integers(0, 500), st.integers(1, 6))
     @settings(max_examples=10)
     def test_is_read_only(self, seed, n):
         rho = ginibre(n, seed)
@@ -124,30 +100,14 @@ class TestEntropy:
     def test_maximally_mixed_qubit(self):
         assert entropy(np.eye(2) / 2) == pytest.approx(1.0)
 
-    def test_pure_state(self):
-        assert entropy(np.diag([1.0, 0.0])) == 0.0
-
     def test_five_eighths_three_eighths(self):
         assert entropy(np.diag([5 / 8, 3 / 8])) == pytest.approx(0.954434, abs=1e-6)
 
-    def test_tiny_negative_eigenvalues_clipped(self):
-        assert entropy_bits([1.0, -1e-12]) == 0.0
-
-    def test_empty_spectrum(self):
-        assert entropy_bits([]) == 0.0
-
-    def test_rejects_strongly_negative(self):
-        with pytest.raises(ValueError, match="below -"):
-            entropy_bits([1.1, -0.1])
-
-    def test_rejects_strongly_negative_in_one_row_of_a_stack(self):
-        with pytest.raises(ValueError, match="below -"):
-            entropy_bits([[0.5, 0.5], [1.0, 0.0], [1.1, -0.1]])
-
     def test_single_spectrum_gives_positive_zero_float(self):
-        for spectrum in ([1.0], [1.0, 0.0], [1.0, -1e-12], []):
+        # [0.0, 1.0] is the spectrum eigvalsh gives for diag(1, 0); -1e-12 is clipped
+        for spectrum in ([1.0], [1.0, 0.0], [0.0, 1.0], [1.0, -1e-12], []):
             h = entropy_bits(spectrum)
-            assert type(h) is float
+            assert type(h) is float and h == 0.0
             assert math.copysign(1.0, h) == 1.0
 
     @given(hnp.arrays(
@@ -172,42 +132,21 @@ class TestEntropy:
 
 
 class TestDensityMatrixValidation:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace is"):
-            DensityMatrix(np.eye(2))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityMatrix(np.diag([1.5, -0.5]))
-
     @given(
-        st.integers(2, 5),
-        st.integers(0, 500),
-        st.integers(0, 24),
-        st.sampled_from([math.nan, math.inf, -math.inf]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_rejects_non_finite_entry(self, d, seed, index, bad):
-        m = np.array(ginibre(d, seed).matrix)
-        m.flat[index % m.size] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            DensityMatrix(m)
-
-    @given(
-        st.integers(0, 500),
-        st.sampled_from([(3,), (4,), (2, 3), (3, 2, 4)]),
+        hnp.arrays(float, st.sampled_from([(2,), (3,), (4,), (2, 3), (3, 2, 4)]),
+                   elements=st.floats(0.0, 1.0)),
         st.integers(0, 100),
-        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.sampled_from([(math.nan, "non-finite"), (math.inf, "non-finite"),
+                         (-math.inf, "non-finite"), (-0.1, "below -")]),
     )
+    @example(np.array([1.1, 0.0]), 1, (-0.1, "below -"))
+    @example(np.array([[0.5, 0.5], [1.0, 0.0], [1.1, 0.0]]), 5, (-0.1, "below -"))
     @settings(max_examples=60, deadline=None)
-    def test_entropy_rejects_non_finite_eigenvalue(self, seed, shape, index, bad):
-        spectra = np.random.default_rng(seed).dirichlet(np.ones(shape[-1]), shape[:-1])
+    def test_entropy_rejects_one_bad_eigenvalue(self, spectra, index, bad_and_message):
+        bad, message = bad_and_message
+        spectra = spectra.copy()
         spectra.flat[index % spectra.size] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=message):
             entropy_bits(spectra)
 
     def test_equality_and_hash_are_by_identity(self):
@@ -216,53 +155,58 @@ class TestDensityMatrixValidation:
         assert len({a, a, b}) == 2
 
 
-def bad_state(kind, d, seed):
-    """A d x d matrix that fails exactly one of the density-matrix checks."""
+@st.composite
+def bad_states(draw):
+    """A d x d matrix, 2 <= d <= 5, that fails exactly one of the density-matrix
+    checks, and the message that check raises."""
+    d, seed = draw(st.integers(2, 5)), draw(st.integers(0, 500))
+    kind = draw(st.sampled_from(["non-Hermitian", "trace", "trace below one", "negative",
+                                 "non-finite"]))
     if kind == "negative":
         u = haar_unitary(d, seed)
-        return u @ np.diag([1.2, -0.2] + [0.0] * (d - 2)) @ u.conj().T
+        return u @ np.diag([1.2, -0.2] + [0.0] * (d - 2)) @ u.conj().T, "negative eigenvalue"
     m = np.array(ginibre(d, seed).matrix)
     if kind == "non-Hermitian":
         m[0, 1] += 0.1
-    elif kind == "trace":
-        m *= 1.1
-    elif kind == "trace below one":
-        m *= 0.9
-    else:
-        m[d - 1, 0] = math.nan
-    return m
+        return m, "Hermitian"
+    if kind == "non-finite":
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        m.flat[draw(st.integers(0, d * d - 1))] = value
+        return m, "non-finite"
+    return m * (1.1 if kind == "trace" else 0.9), "trace is"
 
 
 class TestDensityMatrixStack:
-    @given(st.integers(0, 500), st.integers(1, 6), st.integers(1, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_each_row_is_its_own_state(self, seed, n, m):
-        stack = np.stack([ginibre(n, seed + i).matrix for i in range(m)])
-        states = DensityMatrix(stack)
-        assert states.dim == n and states.spectrum.shape == (m, n)
-        for i in range(m):
-            assert states.spectrum[i].tobytes() == DensityMatrix(stack[i]).spectrum.tobytes()
-
-    @given(
-        st.integers(2, 5),
-        st.integers(0, 500),
-        st.integers(1, 8),
-        st.integers(0, 7),
-        st.sampled_from([
-            ("non-Hermitian", "Hermitian"),
-            ("trace", "trace is"),
-            # among traces of 1: the check takes the one farthest from 1, not the largest
-            ("trace below one", "trace is"),
-            ("negative", "negative eigenvalue"),
-            ("nan", "non-finite"),
-        ]),
-    )
-    @example(2, 0, 2, 1, ("trace below one", "trace is"))
+    @given(st.integers(0, 500), st.integers(1, 6), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
-    def test_one_bad_member_rejects_the_stack(self, d, seed, m, index, kind_and_message):
-        kind, message = kind_and_message
-        stack = np.stack([ginibre(d, seed + i).matrix for i in range(m)])
-        stack[index % m] = bad_state(kind, d, seed)
+    def test_each_row_is_its_own_state(self, seed, n, m):
+        # m = 0 is one state, passed alone as a 2-D array
+        rows = [ginibre(n, seed + i).matrix for i in range(max(m, 1))]
+        stack = np.stack(rows) if m else rows[0]
+        states = DensityMatrix(stack)
+        assert states.dim == n and states.spectrum.shape == stack.shape[:-1]
+        for i in np.ndindex(stack.shape[:-2]):
+            spectrum = states.spectrum[i]
+            assert spectrum.tobytes() == np.linalg.eigvalsh(stack[i])[::-1].tobytes()
+            assert np.all(spectrum[:-1] >= spectrum[1:])
+            assert abs(spectrum.sum() - 1.0) < 1e-12
+
+    @given(bad_states(), st.integers(0, 500), st.integers(0, 8), st.integers(0, 7))
+    # m = 0 passes the bad matrix alone, as a 2-D array: one example of each kind
+    @example((np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"), 0, 0, 0)
+    @example((np.eye(2), "trace is"), 0, 0, 0)
+    @example((np.eye(2) * 0.45, "trace is"), 0, 0, 0)
+    @example((np.diag([1.5, -0.5]), "negative eigenvalue"), 0, 0, 0)
+    @example((np.array([[0.5, 0.0], [math.nan, 0.5]]), "non-finite"), 0, 0, 0)
+    # among traces of 1: the check takes the one farthest from 1, not the largest
+    @example((0.9 * ginibre(2, 0).matrix, "trace is"), 0, 2, 1)
+    @settings(max_examples=100, deadline=None)
+    def test_one_bad_member_rejects_the_stack(self, bad, seed, m, index):
+        matrix, message = bad
+        stack = matrix
+        if m:
+            stack = np.stack([ginibre(len(matrix), seed + i).matrix for i in range(m)])
+            stack[index % m] = matrix
         with pytest.raises(ValueError, match=message):
             DensityMatrix(stack)
 

@@ -57,6 +57,14 @@ class TestSwitchChannel:
             switch_channel(depolarizing_channel(2, 0.3), depolarizing_channel(3, 0.3))
 
 
+class TestControlState:
+    @pytest.mark.parametrize("coherent", [True, False])
+    @pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
+    def test_rejects_p_outside_unit_interval(self, p, coherent):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            ControlState(p, coherent=coherent)
+
+
 def pairwise_switch(n1, n2, ctrl=None):
     """Reference: the switched operators built one Kraus pair at a time.
 
