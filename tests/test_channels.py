@@ -22,7 +22,7 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 class TestKrausChannel:
     @given(st.integers(0, 300), st.integers(1, 5), st.sampled_from([(2, 2), (3, 2), (2, 4)]))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_tuple_and_array_give_the_same_channel(self, seed, n, shape):
         ops = random_kraus(np.random.default_rng(seed), n, *shape)
         a = KrausChannel(tuple(ops))
@@ -94,7 +94,7 @@ class TestWeylBasis:
 
     @given(st.integers(0, 300), st.sampled_from([2, 3, 4]))
     @example(42, 3)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_twirl_property(self, seed, d):
         rho = ginibre(d, seed)
         acc = sum(u @ rho.matrix @ u.conj().T for u in weyl_basis(d))
@@ -115,7 +115,7 @@ class TestDepolarizing:
     @example(2, 0.5, 0)
     @example(3, 0.2, 0)
     @example(3, 0.4, 0)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_output_formula(self, d, q, seed):
         dep, rho = depolarizing_channel(d, q), ginibre(d, seed)
         assert len(dep.ops) == d * d + 1
@@ -141,7 +141,7 @@ class TestApply:
             assert abs(out.matrix.trace() - 1.0) < 1e-12
 
     @given(st.integers(0, 300))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_linearity(self, seed):
         ch = depolarizing_channel(2, 0.3)
         a, b = ginibre(2, seed), ginibre(2, seed + 1)

@@ -16,6 +16,7 @@ import switchcap
 from switchcap import capacity, channels, oracle, qmat, switch
 from switchcap.capacity import reduced_control_state, switched_spectrum
 from switchcap.channels import depolarizing_channel
+from switchcap.cli import SweepConfig
 from switchcap.oracle import (
     ComparisonReport,
     SUITES,
@@ -58,8 +59,8 @@ ONE_STATE_DIFFERENCE = {
 }
 
 # The suites that call the library; cptp and covariance check only the oracle
-LIBRARY_SUITES = {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-optimizer",
-                  "chi-vs-reference", "chi-vs-brute", "marginals"}
+LIBRARY_SUITES = {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-reference",
+                  "chi-vs-brute", "marginals"}
 
 # Each fault replaces one piece of a library function's source, on every
 # binding the package has; the suites named with it must fail, and no other.
@@ -72,50 +73,50 @@ PLANTED_FAULTS = [
                  LIBRARY_SUITES, id="A-not-over-d"),
     pytest.param(switch.depolarizing_switch_terms,
                  "2.0 * q * (1.0 - q)", "q * (1.0 - q)",
-                 {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-optimizer",
-                  "chi-vs-brute"}, id="mix-halved"),
+                 {"analytic-vs-brute", "spectrum-vs-eigensolver", "chi-vs-brute"},
+                 id="mix-halved"),
     pytest.param(switch.switch_channel,
                  "np.matmul(k1[None], k2[:, None],", "np.matmul(k2[:, None], k1[None],",
-                 {"chi-vs-optimizer", "chi-vs-brute"}, id="switch-one-order"),
+                 {"chi-vs-brute"}, id="switch-one-order"),
     pytest.param(capacity.switched_spectrum,
                  "a + lam[..., None, None] * b", "lam[..., None, None] * a + b",
-                 {"spectrum-vs-eigensolver", "chi-vs-optimizer", "chi-vs-reference",
-                  "chi-vs-brute"}, id="spectrum-lam-times-A"),
+                 {"spectrum-vs-eigensolver", "chi-vs-reference", "chi-vs-brute"},
+                 id="spectrum-lam-times-A"),
     pytest.param(capacity.switched_spectrum,
                  "np.sort(blocks.reshape(lam.shape[:-1] + (2 * d,)), axis=-1)[..., ::-1]",
                  "blocks.reshape(lam.shape[:-1] + (2 * d,))",
                  {"spectrum-vs-eigensolver"}, id="spectrum-unsorted"),
     pytest.param(capacity.reduced_control_state,
                  "d * a + b", "a + b",
-                 {"marginals", "chi-vs-optimizer", "chi-vs-reference", "chi-vs-brute"},
+                 {"marginals", "chi-vs-reference", "chi-vs-brute"},
                  id="marginal-A-not-times-d"),
     pytest.param(capacity.holevo_analytic,
                  "np.eye(d)[0]", "np.full(d, 1.0 / d)",
-                 {"chi-vs-optimizer", "chi-vs-reference", "chi-vs-brute"},
+                 {"chi-vs-reference", "chi-vs-brute"},
                  id="h-min-mixed-input"),
     pytest.param(capacity._transfer_matrix,
                  "sub.T @ sub.conj()", "sub.T @ sub",
-                 {"chi-vs-optimizer", "chi-vs-brute"}, id="transfer-no-conj"),
+                 {"chi-vs-brute"}, id="transfer-no-conj"),
     pytest.param(ControlState.density,
                  "rho[0, 1] = rho[1, 0] = c", "rho[0, 1] = rho[1, 0] = c / 2",
                  LIBRARY_SUITES, id="coherence-halved"),
     # the two branches for a dephased control
     pytest.param(switch.switch_with_fixed_control,
                  "np.diag(amps)[amps > 0]", "amps[None]",
-                 {"chi-vs-optimizer", "chi-vs-brute"}, id="dephased-kraus-as-coherent"),
+                 {"chi-vs-brute"}, id="dephased-kraus-as-coherent"),
     pytest.param(ControlState.density,
                  "if self.coherent:", "if True:",
-                 {"chi-vs-optimizer", "chi-vs-brute"}, id="dephased-density-as-coherent"),
+                 {"chi-vs-brute"}, id="dephased-density-as-coherent"),
     pytest.param(capacity.optimize_ensemble,
                  "best_chi = max(best_chi, _chi_pure(p, hx))",
                  "continue", set(), id="no-restarts"),
     # the Kraus route's depolarizer and ensemble entropy
     pytest.param(channels.depolarizing_channel,
                  "np.sqrt(q) * np.eye(d, dtype=complex)", "q * np.eye(d, dtype=complex)",
-                 {"chi-vs-optimizer", "chi-vs-brute"}, id="depolarizer-q-not-sqrt"),
+                 {"chi-vs-brute"}, id="depolarizer-q-not-sqrt"),
     pytest.param(capacity._output_entropies,
                  "vecs[..., None, :].conj()", "vecs[..., None, :]",
-                 {"chi-vs-optimizer", "chi-vs-brute"}, id="projector-no-conj"),
+                 {"chi-vs-brute"}, id="projector-no-conj"),
     # the qmat primitive that the oracle shares with the library; covariance
     # builds its unitaries with it
     pytest.param(qmat.tensor,
@@ -189,7 +190,7 @@ class TestGinibre:
 
 
 class TestBruteForce:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         d=st.sampled_from([2, 3, 4]),
         q=st.floats(0.0, 1.0),
@@ -344,13 +345,29 @@ class TestVerifyEquivalence:
         # each suite tests its whole grid, once: one that drops or repeats an
         # instance fails here, and so does a suite missing from the table
         instances = {"analytic-vs-brute": 1200, "spectrum-vs-eigensolver": 480,
-                     "chi-vs-optimizer": 24, "chi-vs-reference": 15, "chi-vs-brute": 256,
+                     "chi-vs-reference": 15, "chi-vs-brute": 320,
                      "marginals": 30, "cptp": 9, "covariance": 132}
         assert instances.keys() == SUITES.keys()
         report = suite_report(suite)
         # every suite reads 1.2e-14 or less, so a precision loss fails here
         assert report.max_abs_deviation <= 1e-12
         assert report.instances_tested == instances[suite]
+
+    def test_chi_vs_brute_runs_the_sweeps_restarts(self, monkeypatch):
+        # the oracle checks the optimizer's chi as the sweep computes it, with its
+        # default restarts, at off-centre p for either control at q in {0, 0.5}
+        calls = []
+
+        def record(d, q, ctrl, trials, seed):
+            calls.append((d, q, ctrl.p, ctrl.coherent, trials, seed))
+            return capacity.OptimizerResult(0.0, trials, 0)
+
+        monkeypatch.setattr(capacity, "holevo_numeric", record)
+        list(SUITES["chi-vs-brute"]())
+        restarts = (SweepConfig.optimizer_trials, 0)
+        assert {call[-2:] for call in calls} == {restarts}
+        grid = itertools.product((2, 3), (0.0, 0.5), (0.2, 0.5, 0.7), (True, False))
+        assert {point + restarts for point in grid} <= set(calls)
 
     def test_report_serialization(self):
         report = ComparisonReport("demo", 1e-12, 5, {"d": 2, "q": 0.0})

@@ -24,7 +24,7 @@ class TestTensor:
                    elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False)),
         st.booleans(),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_byte_identical_to_kron(self, a, b, transpose):
         # a transposed operand is a strided view, which takes another multiply loop;
         # a left operand with a leading stack axis gives one product per row
@@ -115,7 +115,7 @@ class TestEntropy:
         hnp.array_shapes(min_dims=2, max_dims=3, max_side=8),
         elements=st.sampled_from([0.0, -1e-12, 1.0]) | st.floats(0.0, 1.0),
     ))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_stack_matches_each_row(self, spectra):
         stacked = entropy_bits(spectra)
         assert stacked.shape == spectra.shape[:-1]
@@ -141,7 +141,7 @@ class TestDensityMatrixValidation:
     )
     @example(np.array([1.1, 0.0]), 1, (-0.1, "below -"))
     @example(np.array([[0.5, 0.5], [1.0, 0.0], [1.1, 0.0]]), 5, (-0.1, "below -"))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_entropy_rejects_one_bad_eigenvalue(self, spectra, index, bad_and_message):
         bad, message = bad_and_message
         spectra = spectra.copy()
@@ -178,7 +178,7 @@ def bad_states(draw):
 
 class TestDensityMatrixStack:
     @given(st.integers(0, 500), st.integers(1, 6), st.integers(0, 8))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_each_row_is_its_own_state(self, seed, n, m):
         # m = 0 is one state, passed alone as a 2-D array
         rows = [ginibre(n, seed + i).matrix for i in range(max(m, 1))]
@@ -200,7 +200,7 @@ class TestDensityMatrixStack:
     @example((np.array([[0.5, 0.0], [math.nan, 0.5]]), "non-finite"), 0, 0, 0)
     # among traces of 1: the check takes the one farthest from 1, not the largest
     @example((0.9 * ginibre(2, 0).matrix, "trace is"), 0, 2, 1)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_one_bad_member_rejects_the_stack(self, bad, seed, m, index):
         matrix, message = bad
         stack = matrix

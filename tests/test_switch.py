@@ -99,7 +99,7 @@ class TestStackedSwitch:
         st.sampled_from([0.0, 0.3, 0.5, 1.0]),
         st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_matches_pairwise_formula(self, seed, d, kind, p, coherent):
         if kind == "depolarizing":
             q = (seed % 5) / 4
@@ -118,7 +118,7 @@ class TestStackedSwitch:
 
 class TestSwitchApply:
     @given(st.integers(0, 200))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_representation_independence(self, seed):
         # mix the Kraus list by a random unitary; output must not change
         assert representation_deviation(seed, ginibre(2, seed + 1)) <= 1e-10
