@@ -8,7 +8,8 @@ bits (base-2 logarithms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,14 +22,16 @@ class DensityMatrix:
 
     Validation happens at construction, on every member of a ``(..., n, n)``
     stack: finite entries, and Hermiticity, unit trace and eigenvalues >= 0
-    within ``TOL``, from one stacked ``eigvalsh``. Those eigenvalues are kept as
-    ``spectrum``, descending, and the matrix as a private copy, so that a write to
-    the caller's array cannot leave them stale; both are read-only.
+    within ``TOL``, the last from one stacked Cholesky factorisation of
+    m + TOL I, which exists exactly when every eigenvalue exceeds -TOL; only a
+    failed one runs ``eigvalsh`` to decide the boundary and name the eigenvalue.
+    The matrix is kept as a private read-only copy, so that a write to the
+    caller's array cannot change it, and ``spectrum``, its eigenvalues descending
+    and read-only, is computed from that copy on the first read.
     Equality and hashing are by identity, since an array has no truth value.
     """
 
     matrix: np.ndarray
-    spectrum: np.ndarray = field(init=False)
     dim = property(lambda self: self.matrix.shape[-1])
 
     def __post_init__(self):
@@ -44,15 +47,20 @@ class DensityMatrix:
         tr = tr[np.abs(tr - 1.0).argmax()]
         if abs(tr - 1.0) > TOL:
             raise ValueError(f"trace is {tr}, expected 1")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -TOL:
-            raise ValueError(
-                f"matrix has negative eigenvalue {evals.min():.3e}"
-            )
+        try:
+            np.linalg.cholesky(m + TOL * np.eye(m.shape[-1]))
+        except np.linalg.LinAlgError:
+            lam = np.linalg.eigvalsh(m).min()
+            if lam < -TOL:
+                raise ValueError(f"matrix has negative eigenvalue {lam:.3e}")
         m.setflags(write=False)
-        evals.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "spectrum", evals[..., ::-1])
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        evals = np.linalg.eigvalsh(self.matrix)
+        evals.setflags(write=False)
+        return evals[..., ::-1]
 
 
 def tensor(a, b) -> np.ndarray:

@@ -20,6 +20,19 @@ def ginibre(d, seed):
     return DensityMatrix(_ginibre(d, seed))
 
 
+def eigvalsh_calls(monkeypatch):
+    """The shapes of the arrays passed to np.linalg.eigvalsh, appended to the
+    returned list at each call for as long as ``monkeypatch`` holds."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def record(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    return calls
+
+
 def haar_unitary(d, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -36,7 +36,7 @@ from switchcap.switch import (
     switched_depolarizing_analytic,
 )
 
-from helpers import ginibre, partial_trace, suite_report, switch_apply
+from helpers import eigvalsh_calls, ginibre, partial_trace, suite_report, switch_apply
 
 
 def _marginal_difference(d, q, ctrl, rho):
@@ -368,6 +368,12 @@ class TestVerifyEquivalence:
         assert {call[-2:] for call in calls} == {restarts}
         grid = itertools.product((2, 3), (0.0, 0.5), (0.2, 0.5, 0.7), (True, False))
         assert {point + restarts for point in grid} <= set(calls)
+
+    def test_analytic_vs_brute_runs_no_eigensolver(self, monkeypatch):
+        # the suite compares matrices only, so no state it validates reads a spectrum
+        calls = eigvalsh_calls(monkeypatch)
+        assert verify_equivalence("analytic-vs-brute").instances_tested == 1200
+        assert calls == []
 
     def test_report_serialization(self):
         report = ComparisonReport("demo", 1e-12, 5, {"d": 2, "q": 0.0})

@@ -6,12 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from switchcap.qmat import (
+    TOL,
     DensityMatrix,
     entropy_bits,
     tensor,
 )
 
-from helpers import ginibre, haar_unitary, partial_trace
+from helpers import eigvalsh_calls, ginibre, haar_unitary, partial_trace
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -67,7 +68,7 @@ class TestPartialTrace:
 
 
 class TestSpectrum:
-    """``DensityMatrix.spectrum``: the eigenvalues its PSD check computed."""
+    """``DensityMatrix.spectrum``: the eigenvalues of its matrix, computed on the first read."""
 
     def test_control_marginal_eigenvalues(self):
         # 1/2 I + (1/8) sigma_x has eigenvalues 5/8 and 3/8
@@ -90,6 +91,18 @@ class TestSpectrum:
         a[0, 0] = 1
         np.testing.assert_array_equal(rho.matrix, np.eye(2) / 2)
         np.testing.assert_array_equal(rho.spectrum, (0.5, 0.5))
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_one_eigensolve_on_the_first_read(self, monkeypatch, lead):
+        # validation runs no eigensolver; the first read runs one over the whole
+        # stack, and a second read returns the same object
+        stack = np.broadcast_to(ginibre(4, 0).matrix, lead + (4, 4))
+        calls = eigvalsh_calls(monkeypatch)
+        rho = DensityMatrix(stack)
+        assert calls == []
+        spectrum = rho.spectrum
+        assert calls == [stack.shape]
+        assert rho.spectrum is spectrum and calls == [stack.shape]
 
 
 def entropy(m):
@@ -209,6 +222,30 @@ class TestDensityMatrixStack:
             stack[index % m] = matrix
         with pytest.raises(ValueError, match=message):
             DensityMatrix(stack)
+
+    @given(st.integers(2, 8), st.integers(0, 500), st.integers(0, 8), st.integers(0, 7),
+           st.sampled_from([TOL / 2, 2 * TOL]))
+    # eps = 0 is a pure state, rank 1 but for round-off, which the TOL shift covers
+    @example(8, 0, 0, 0, 0.0)
+    @settings(max_examples=60)
+    def test_eigenvalue_bound_is_minus_tol(self, n, seed, m, index, eps):
+        # a Haar rotation of diag(1 + eps, -eps, 0, ...), alone (m = 0) or one member
+        # of a stack: accepted for eps <= TOL with no eigensolve, rejected above it
+        # by one eigensolve over the whole stack
+        u = haar_unitary(n, seed)
+        stack = (u * ([1 + eps, -eps] + [0.0] * (n - 2))) @ u.conj().T
+        if m:
+            member, stack = stack, np.stack([ginibre(n, seed + i).matrix for i in range(m)])
+            stack[index % m] = member
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = eigvalsh_calls(monkeypatch)
+            if eps > TOL:
+                with pytest.raises(ValueError, match=r"negative eigenvalue -2\.000e-09$"):
+                    DensityMatrix(stack)
+                assert calls == [stack.shape]
+            else:
+                DensityMatrix(stack)
+                assert calls == []
 
     @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 0), (0, 0), (3,), (2, 3), (4, 2, 3)])
     def test_rejects_empty_and_non_square_shapes(self, shape):
