@@ -11,6 +11,9 @@ between the two paths is meaningful. The suites call the library functions they 
 
 Only ``reference_constants`` imports mpmath, on its first call: it evaluates
 the capacity constants of ``chi-vs-reference`` and the tests to 50 digits.
+The state suites draw their Ginibre states from the standard library's
+``random.Random(seed)``; only ``covariance``'s Haar unitaries and the optimizer
+that ``chi-vs-brute`` runs load ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import functools
 import itertools
 import json
 import math
+import random
 from typing import NamedTuple
 
 import numpy as np
@@ -49,9 +53,11 @@ class ComparisonReport(NamedTuple):
 
 
 def _ginibre(d: int, seed: int) -> np.ndarray:
-    """G G' / Tr(G G') for Gaussian G, as a raw matrix. Full rank a.s."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    """G G' / Tr(G G') for Ginibre G, as a raw matrix: Hilbert-Schmidt distributed and
+    full rank a.s. The real and imaginary parts of G, interleaved, are 2d^2 i.i.d. N(0, 1)
+    draws of ``random.Random(seed)``, so that no state suite loads ``numpy.random``."""
+    rng = random.Random(seed)
+    g = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * d * d)]).view(complex).reshape(d, d)
     m = g @ g.conj().T
     return m / m.trace()
 

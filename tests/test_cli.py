@@ -199,14 +199,20 @@ def test_any_argv_exits_0_1_or_2(argv):
 
 
 def test_cli_runs_never_import_mpmath():
-    # a fresh interpreter: other tests load mpmath into this one
+    # a fresh interpreter: other tests load mpmath and numpy.random into this one;
+    # the Ginibre state suites and cptp load neither, and the sweep's optimizer then
+    # loads numpy.random, which shows that the check sees it
     script = (
         "import contextlib, io, sys\n"
         "from switchcap import cli\n"
+        "def loaded():\n"
+        "    return {'mpmath', 'numpy.random'} & set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for suite in ('analytic-vs-brute', 'spectrum-vs-eigensolver', 'marginals', 'cptp'):\n"
+        "        assert cli.main(['verify', suite]) == 0\n"
+        "    assert not loaded(), f'verify imported {loaded()}'\n"
         "    assert cli.main(['sweep', '--dims', '2', '--q', '0', '--trials', '1']) == 0\n"
-        "    assert cli.main(['verify', 'cptp']) == 0\n"
-        "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+        "assert loaded() == {'numpy.random'}, f'sweep left {loaded()} imported'\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
