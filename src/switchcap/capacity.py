@@ -12,6 +12,7 @@ check: it must reach the closed form and exceed it by no more than round-off.
 
 from __future__ import annotations
 
+import random
 from typing import NamedTuple
 
 import numpy as np
@@ -114,18 +115,55 @@ def _chi_pure(probs, h) -> float:
     return float(h[-1] - probs @ h[:-1])
 
 
+def _uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """n uniforms in [0, 1): the top 53 bits of each little-endian uint64 in
+    ``rng.randbytes(8 n)``, times 2^-53. Scaled in place: a uint64 times a float
+    would cast through a buffer of up to 8192 entries."""
+    u = (np.frombuffer(rng.randbytes(8 * n), "<u8") >> 11).astype(float)
+    u *= 2.0**-53
+    return u
+
+
+def _restart_draws(d: int, trials: int, seed: int):
+    """(sizes, vecs, weights) of ``trials`` random ensembles, from one ``random.Random(seed)``.
+
+    First ``trials`` uniforms u give the sizes 2 + floor(u (d^2 - 1)), uniform on [2, d^2].
+    Then one block of uniforms, each part in restart order: d per vector for the moduli
+    sqrt(-log1p(-u)), d per vector for the phases 2 pi u, and one per vector for the
+    weights. A vector's d complex Gaussians, normalised, are a Haar-random state; each
+    restart's Exp(1) variates -log1p(-u), over their sum, are Dirichlet(1, ..., 1) weights.
+    ``vecs`` is (sum(sizes), d) and ``weights`` (sum(sizes),). Each part is contiguous, so
+    the in-place steps copy nothing, and neither output is a view of the block.
+    """
+    rng = random.Random(seed)
+    sizes = 2 + (_uniforms(rng, trials) * (d * d - 1)).astype(int)
+    n = int(sizes.sum())
+    u = _uniforms(rng, n * (2 * d + 1))
+    (radii, phases), tail = u[: 2 * n * d].reshape(2, n, d), u[2 * n * d :]
+    for x in (radii, tail):  # -log1p(-u), in place: Exp(1), the |z|^2 of a complex Gaussian
+        np.negative(np.log1p(np.negative(x, out=x), out=x), out=x)
+    # |v_j| = sqrt(e_j / sum(e)) normalises v, since |z_j|^2 = e_j
+    np.sqrt(np.divide(radii, radii.sum(axis=1, keepdims=True), out=radii), out=radii)
+    phases *= 2 * np.pi
+    vecs = np.empty((n, d), dtype=complex)
+    np.cos(phases, out=vecs.real)
+    np.sin(phases, out=vecs.imag)
+    vecs.real *= radii  # not vecs *= radii, which would cast radii to complex through a buffer
+    vecs.imag *= radii
+    weights = tail / np.repeat(np.add.reduceat(tail, np.cumsum(sizes) - sizes), sizes)
+    return sizes, vecs, weights
+
+
 def optimize_ensemble(ch: KrausChannel, trials: int, seed: int) -> OptimizerResult:
     """Best of the uniform orthonormal ensemble and ``trials`` random ones.
 
-    Each random ensemble has 2 to d^2 pure states and Dirichlet(1, ..., 1)
-    weights. One ``default_rng(seed)`` draws them all up front, so the result
-    is deterministic in ``seed``: first every ensemble's size, then d real
-    and d imaginary normal parts per vector, in restart order, then one
-    Exp(1) variate per vector, each restart's normalised over its sum. The
-    restarts of one size go in stacks of at most ``STACK_BYTES`` of outputs, or
-    of one restart if larger, with one ``_chi_pure`` call per ensemble. For a
-    covariant channel the orthonormal ensemble already attains chi; the random
-    restarts are a check that none exceeds it by more than round-off.
+    Each random ensemble has 2 to d^2 Haar-random pure states and Dirichlet(1, ..., 1)
+    weights, all drawn up front by ``_restart_draws`` from one ``random.Random(seed)``, so
+    the result is deterministic in ``seed`` and no call loads ``numpy.random``. The
+    restarts of one size go in stacks of at most ``STACK_BYTES`` of outputs, or of one
+    restart if larger, with one ``_chi_pure`` call per ensemble. For a covariant channel
+    the orthonormal ensemble already attains chi; the random restarts are a check that
+    none exceeds it by more than round-off.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -134,18 +172,13 @@ def optimize_ensemble(ch: KrausChannel, trials: int, seed: int) -> OptimizerResu
     u = np.full((1, d), 1.0 / d)  # the orthonormal start
     best_chi = _chi_pure(u[0], _output_entropies(transfer, n, u, np.eye(d)[None])[0])
 
-    rng = np.random.default_rng(seed)
-    sizes = rng.integers(2, d * d + 1, size=trials)
-    re_im = rng.standard_normal((sizes.sum(), 2, d))
-    vecs = re_im[:, 0] + 1j * re_im[:, 1]
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    weights = rng.standard_exponential(sizes.sum())
+    sizes, vecs, weights = _restart_draws(d, trials, seed)
     starts = np.cumsum(sizes) - sizes
     for m in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
         rows = starts[sizes == m, None] + np.arange(m)
         per = max(1, STACK_BYTES // ((m + 1) * n * n * 16))
         for r in np.split(rows, range(per, len(rows), per)):
-            w = weights[r] / weights[r].sum(axis=1, keepdims=True)
+            w = weights[r]
             for p, hx in zip(w, _output_entropies(transfer, n, w, vecs[r])):
                 best_chi = max(best_chi, _chi_pure(p, hx))
 
@@ -164,8 +197,10 @@ def holevo_numeric_bytes(d: int, trials: int) -> tuple[int, int]:
     """Estimated peak bytes of one ``holevo_numeric`` call: Kraus stacks, draws.
     The (d^2+1)^2 SWITCH Kraus operators are held twice, as a stack of 2d x 2d and one of 2d x d
     complex matrices: 290.7 MB at d = 12, where tracemalloc measured 291.3 MB. The optimizer
-    draws up to d^2 vectors per restart up front, at a peak of 48 d + 16 bytes a vector by
-    tracemalloc. Its stacks of max(``STACK_BYTES``, one restart) of outputs are left out:
-    0.19 MB at d <= 4, 2.8% of the Kraus term at d = 8 and 0.6% at d = 16, by tracemalloc."""
+    draws up to d^2 vectors per restart up front, at a peak of at most 48 d + 16 bytes a
+    vector: tracemalloc measured 91, 153 and 281 bytes at d = 2, 4 and 8 over 2000 restarts,
+    most of it the bytes of ``randbytes`` and the int they come from. Its stacks of
+    max(``STACK_BYTES``, one restart) of outputs are left out: 0.19 MB at d <= 4, 2.8% of the
+    Kraus term at d = 8 and 0.6% at d = 16, by tracemalloc."""
     kraus = (d * d + 1) ** 2 * ((2 * d) ** 2 + 2 * d * d) * 16
     return kraus, trials * d * d * (48 * d + 16)

@@ -12,8 +12,8 @@ between the two paths is meaningful. The suites call the library functions they 
 Only ``reference_constants`` imports mpmath, on its first call: it evaluates
 the capacity constants of ``chi-vs-reference`` and the tests to 50 digits.
 The state suites draw their Ginibre states from the standard library's
-``random.Random(seed)``; only ``covariance``'s Haar unitaries and the optimizer
-that ``chi-vs-brute`` runs load ``numpy.random``.
+``random.Random(seed)``, as the optimizer that ``chi-vs-brute`` runs draws its
+restarts; only ``covariance``'s Haar unitaries load ``numpy.random``.
 """
 
 from __future__ import annotations

@@ -1,3 +1,8 @@
+import itertools
+import math
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,8 +11,10 @@ from switchcap import capacity
 from switchcap.capacity import (
     _chi_pure,
     _output_entropies,
+    _restart_draws,
     _transfer_matrix,
     holevo_analytic,
+    holevo_numeric_bytes,
     optimize_ensemble,
     switched_spectrum,
 )
@@ -59,24 +66,33 @@ def orthonormal_chi(ch):
 
 
 def reference_optimize(ch, trials, seed):
-    """optimize_ensemble with each vector and each restart's weights drawn on
-    their own from the row stream, and each ensemble evaluated on the Kraus
-    route: the best of the orthonormal start and ``trials`` restarts."""
+    """optimize_ensemble drawn one entry at a time: each uniform from its own 64 bits
+    of ``random.Random(seed)``, each complex Gaussian from a modulus and a phase, each
+    vector normalised and each ensemble evaluated on the Kraus route: the best of the
+    orthonormal start and ``trials`` restarts. The sizes come first, then every
+    vector's d moduli, then every vector's d phases, then one weight per vector."""
     d = ch.dim_in
-    rng = np.random.default_rng(seed)
-    sizes = rng.integers(2, d * d + 1, size=trials)
-    ensembles = []
-    for m in sizes:
-        vecs = []
-        for _ in range(m):
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            vecs.append(v / np.linalg.norm(v))
-        ensembles.append(vecs)
+    rng = random.Random(seed)
+
+    def uniform():
+        return (rng.getrandbits(64) >> 11) * 2.0**-53
+
+    def exponential():
+        return -math.log1p(-uniform())
+
+    sizes = [2 + int(uniform() * (d * d - 1)) for _ in range(trials)]
+    radii = [[math.sqrt(exponential()) for _ in range(d)] for _ in range(sum(sizes))]
+    phases = [[2 * math.pi * uniform() for _ in range(d)] for _ in range(sum(sizes))]
+    vecs = []
+    for r, t in zip(radii, phases):
+        v = np.array([r_j * complex(math.cos(t_j), math.sin(t_j)) for r_j, t_j in zip(r, t)])
+        vecs.append(v / np.linalg.norm(v))
     best = orthonormal_chi(ch)
-    for vecs in ensembles:
+    for start, m in zip(itertools.accumulate([0] + sizes), sizes):
         # Dirichlet(1, ..., 1) weights, as i.i.d. Exp(1) variates over their sum
-        w = rng.standard_exponential(len(vecs))
-        best = max(best, holevo_of_ensemble(ch, w / w.sum(), pure_states(vecs)))
+        w = np.array([exponential() for _ in range(m)])
+        ensemble = pure_states(vecs[start : start + m])
+        best = max(best, holevo_of_ensemble(ch, w / w.sum(), ensemble))
     return best
 
 
@@ -222,6 +238,41 @@ class TestStackedHolevo:
         ch = fourier_dephased(random_channel(0, 3, 2))
         chis = {optimize_ensemble(ch, trials=10, seed=seed).chi for seed in (0, 1)}
         assert len(chis) == 2
+
+
+class TestRestartDraws:
+    @staticmethod
+    def assert_beta_moments(x, m):
+        """The first two moments of Beta(1, m - 1), 1/m and 2/(m(m + 1)), each within 5
+        standard errors: the law of |<0|psi>|^2 for a Haar state psi in dimension m, and of
+        each Dirichlet(1, ..., 1) weight of m."""
+        for k, moment in ((1, 1 / m), (2, 2 / (m * (m + 1)))):
+            assert abs((x**k).mean() - moment) <= 5 * (x**k).std() / math.sqrt(len(x))
+
+    def test_haar_states_and_dirichlet_weights(self):
+        # a real Gaussian vector gives E|<0|psi>|^4 = 3/(d(d + 2)), 0.375 at d = 2, and a
+        # uniform modulus 0.3 at d = 2: each is over 8 standard errors from 1/3
+        for d in (2, 3):
+            sizes, vecs, weights = _restart_draws(d, trials=4000, seed=d)
+            assert set(sizes.tolist()) == set(range(2, d * d + 1))
+            assert vecs.shape == (sizes.sum(), d) and weights.shape == (sizes.sum(),)
+            np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1, rtol=0, atol=1e-15)
+            self.assert_beta_moments(np.abs(vecs[:, 0]) ** 2, d)
+            per_restart = np.split(weights, np.cumsum(sizes)[:-1])
+            np.testing.assert_allclose([w.sum() for w in per_restart], 1, rtol=0, atol=1e-15)
+            self.assert_beta_moments(np.array([w[0] for w in per_restart if len(w) == 3]), 3)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_peak_within_the_estimate(self, d):
+        # holevo_numeric_bytes counts d^2 vectors a restart, so its bound is on each vector
+        per_vector = holevo_numeric_bytes(d, 1)[1] // (d * d)
+        tracemalloc.start()
+        try:
+            n = len(_restart_draws(d, trials=500, seed=0)[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * per_vector
 
 
 class TestTransferMatrix:

@@ -199,20 +199,25 @@ def test_any_argv_exits_0_1_or_2(argv):
 
 
 def test_cli_runs_never_import_mpmath():
-    # a fresh interpreter: other tests load mpmath and numpy.random into this one;
-    # the Ginibre state suites and cptp load neither, and the sweep's optimizer then
-    # loads numpy.random, which shows that the check sees it
+    # a fresh interpreter: other tests load mpmath and numpy.random into this one; a
+    # sweep and every verify suite but chi-vs-reference and covariance load neither;
+    # then chi-vs-reference loads mpmath alone and covariance's Haar unitaries load
+    # numpy.random, which shows that the check sees each
     script = (
         "import contextlib, io, sys\n"
-        "from switchcap import cli\n"
+        "from switchcap import cli, oracle\n"
         "def loaded():\n"
         "    return {'mpmath', 'numpy.random'} & set(sys.modules)\n"
+        "last = ('chi-vs-reference', 'covariance')\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for suite in ('analytic-vs-brute', 'spectrum-vs-eigensolver', 'marginals', 'cptp'):\n"
-        "        assert cli.main(['verify', suite]) == 0\n"
-        "    assert not loaded(), f'verify imported {loaded()}'\n"
         "    assert cli.main(['sweep', '--dims', '2', '--q', '0', '--trials', '1']) == 0\n"
-        "assert loaded() == {'numpy.random'}, f'sweep left {loaded()} imported'\n"
+        "    for suite in (s for s in oracle.SUITES if s not in last):\n"
+        "        assert cli.main(['verify', suite]) == 0\n"
+        "    assert not loaded(), f'sweep and verify imported {loaded()}'\n"
+        "    assert cli.main(['verify', 'chi-vs-reference']) == 0\n"
+        "    assert loaded() == {'mpmath'}, f'chi-vs-reference left {loaded()} imported'\n"
+        "    assert cli.main(['verify', 'covariance']) == 0\n"
+        "assert loaded() == {'mpmath', 'numpy.random'}, f'covariance left {loaded()} imported'\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
